@@ -1556,22 +1556,28 @@ class _Frame:
     # repro.nn.functional intrinsics -----------------------------------
 
     def _functional_call(self, name, args, line, col) -> AV:
+        # 4-D activations are batch-innermost (C, H, W, N); see the
+        # repro.nn.functional module docstring.
         x = args[0] if args else TOP_AV
-        n = x.shape[0] if x.kind == "arr" and x.shape else TOP
-        c = (x.shape[1] if x.kind == "arr" and x.shape
-             and len(x.shape) > 1 else TOP)
+        shape = x.shape if x.kind == "arr" and x.shape else None
         dtype = x.dtype if x.kind == "arr" else TOP
         prov = x.prov if x.kind == "arr" else ()
+        if name == "batch_innermost":  # (N, C, H, W) -> (C, H, W, N)
+            if shape is not None and len(shape) == 4:
+                return _arr(shape[1:] + shape[:1], dtype, prov)
+            return _arr((TOP, TOP, TOP, TOP), dtype, prov)
+        c = shape[0] if shape is not None else TOP
+        n = shape[-1] if shape is not None and len(shape) == 4 else TOP
         if name == "conv2d":
-            out = _arr((n, TOP, TOP, TOP), dtype, prov)
+            out = _arr((TOP, TOP, TOP, n), dtype, prov)
             return AV("tup", items=[out, TOP_AV])
         if name == "conv2d_backward":
             return AV("tup", items=[TOP_AV, TOP_AV, TOP_AV])
         if name == "max_pool2d":
-            out = _arr((n, c, TOP, TOP), dtype, prov)
+            out = _arr((c, TOP, TOP, n), dtype, prov)
             return AV("tup", items=[out, TOP_AV])
         if name == "avg_pool2d":
-            return _arr((n, c, TOP, TOP), dtype, prov)
+            return _arr((c, TOP, TOP, n), dtype, prov)
         if name in ("relu", "softmax", "log_softmax"):
             return _arr(x.shape if x.kind == "arr" else None, dtype, prov)
         if name == "relu_backward":
@@ -1580,9 +1586,7 @@ class _Frame:
                         grad.dtype if grad.kind == "arr" else TOP)
         if name == "im2col":
             return _arr((TOP, TOP), dtype)
-        if name == "im2col_blocked":
-            return AV("tup", items=[_arr((n, TOP, TOP), dtype), TOP_AV])
-        if name in ("col2im", "col2im_blocked"):
+        if name == "col2im":
             return _arr((TOP, TOP, TOP, TOP), dtype)
         return TOP_AV
 

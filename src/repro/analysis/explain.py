@@ -246,17 +246,17 @@ EXAMPLES: dict[str, Example] = {
             "from repro.nn.contracts import shape_contract\n"
             "\n"
             "class Pool:\n"
-            "    @shape_contract(\"N,C,H,W -> N,C\")\n"
+            "    @shape_contract(\"C,H,W,N -> N,C\")\n"
             "    def forward(self, x):\n"
-            "        return x.mean(axis=3)\n"
+            "        return x.mean(axis=(1, 2))\n"
         ),
         good=(
             "from repro.nn.contracts import shape_contract\n"
             "\n"
             "class Pool:\n"
-            "    @shape_contract(\"N,C,H,W -> N,C\")\n"
+            "    @shape_contract(\"C,H,W,N -> N,C\")\n"
             "    def forward(self, x):\n"
-            "        return x.mean(axis=(2, 3))\n"
+            "        return x.mean(axis=(1, 2)).T\n"
         ),
     ),
     "NES014": Example(

@@ -3,7 +3,7 @@
 The NN layer's hand-written backward passes make shape bugs easy to
 introduce and hard to localize (a transposed conv weight surfaces three
 modules downstream).  :mod:`repro.nn.contracts` gives every forward a
-declarative ``"N,C,H,W -> N,K,H',W'"`` spec; this rule verifies
+declarative ``"C,H,W,N -> K,H',W',N"`` spec; this rule verifies
 
 1. every concrete single-input ``forward(self, x)`` method under
    ``repro/nn/`` is decorated with ``@shape_contract(...)`` whose spec
@@ -129,7 +129,7 @@ class ShapeContractChecker(Checker):
                         ctx,
                         func,
                         f"{cls.name}.forward has no @shape_contract",
-                        hint='decorate with @shape_contract("N,C,H,W -> ...") '
+                        hint='decorate with @shape_contract("C,H,W,N -> ...") '
                         "from repro.nn.contracts",
                     )
                     continue

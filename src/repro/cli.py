@@ -41,6 +41,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
+import select
+import signal
 import sys
 
 from repro.data.registry import DATASETS
@@ -656,7 +659,30 @@ def main(argv=None) -> int:
         "report": _cmd_report,
         "obsdiff": _cmd_obsdiff,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # surface a closed pipe here, not at exit
+        return code
+    except BrokenPipeError:
+        if not _stdout_reader_gone():
+            raise  # some other pipe broke (e.g. a worker's): a real error
+        # The reader closed stdout early (``report TRACE | head``).  Stop
+        # quietly with the status a filter killed by SIGPIPE reports, and
+        # point stdout at devnull so the exit-time flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
+
+
+def _stdout_reader_gone() -> bool:
+    """Is stdout a pipe whose reading end has been closed?"""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # replaced or captured stdout
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(event & select.POLLERR for _, event in poller.poll(0))
 
 
 if __name__ == "__main__":

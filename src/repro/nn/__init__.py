@@ -9,6 +9,7 @@ and int8 weight quantization for the FPGA feedback loop.
 
 from repro.nn.functional import (
     avg_pool2d,
+    batch_innermost,
     col2im,
     conv2d,
     conv2d_backward,
@@ -41,6 +42,7 @@ from repro.nn.resnet import BasicBlock, Bottleneck, ResNet, resnet18, resnet20, 
 from repro.nn.serialize import load_history, load_model, save_history, save_model
 
 __all__ = [
+    "batch_innermost",
     "im2col",
     "col2im",
     "conv2d",

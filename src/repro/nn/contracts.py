@@ -2,7 +2,7 @@
 
 A contract is a declarative spec string attached to a ``forward`` method::
 
-    @shape_contract("N,C,H,W -> N,K,H',W'")
+    @shape_contract("C,H,W,N -> K,H',W',N")
     def forward(self, x): ...
 
 The grammar is deliberately tiny — comma-separated dimension tokens on

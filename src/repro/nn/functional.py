@@ -1,28 +1,32 @@
 """Low-level numpy kernels: convolution via im2col, pooling, activations.
 
-All kernels operate on arrays shaped ``(N, C, H, W)`` (batch, channels,
-height, width) in float32 and come in forward/backward pairs.  The backward
-functions take the upstream gradient and whatever cached values the forward
-pass produced, mirroring how the module layer in :mod:`repro.nn.modules`
-drives them.
+Layout
+------
+Every 4-D activation inside :mod:`repro.nn` is *batch-innermost*:
+``(C, H, W, N)`` float32 (channels, height, width, batch).  The models'
+public boundary stays ``(N, C, H, W)``; :func:`batch_innermost` converts
+once at the model entry.  Kernels come in forward/backward pairs; the
+backward functions take the upstream gradient and whatever cached values
+the forward pass produced, mirroring how :mod:`repro.nn.modules` drives
+them.
 
-Performance notes
------------------
-``im2col`` is built from a zero-copy ``np.lib.stride_tricks.as_strided``
-window view followed by a single reshape-copy, replacing the seed's
-``kernel^2`` Python-loop slice fills (the loop is kept as
-``_im2col_loop`` / ``_col2im_loop`` for equivalence tests and
-before/after benchmarks — the strided version is bit-identical).
+Why the batch goes innermost: the training shapes are tiny spatially
+(8x8 inputs shrinking to 4x4, 2x2 and 1x1) and narrow (6-48 channels).
+In ``(N, C, H, W)`` every im2col window copy and every backward
+scatter-add runs over only ``OW`` = 8, 4, 2 or 1 contiguous floats, and
+a conv is ``N`` separate tiny GEMMs.  With the batch innermost:
 
-Convolution and pooling run on a *blocked* column layout
-``(N, C*K*K, OH*OW)`` (:func:`im2col_blocked`): because that layout is a
-free reshape of the strided window copy, the forward pass is one batched
-GEMM with **no** transpose-gathers on either the columns or the output,
-and the backward pass reuses the forward's column buffer (threaded
-through the ``cols`` cache that :class:`repro.nn.modules.Conv2d` holds
-per batch) plus a scatter-add that reads contiguous blocks.  The public
-:func:`im2col`/:func:`col2im` pair keeps the seed's row-major
-``(N*OH*OW, C*K*K)`` layout and exact numerics.
+- a conv is one 2-D GEMM, ``W(C_out, C*K*K) @ cols(C*K*K, OH*OW*N)``,
+  whose ``(C_out, OH*OW*N)`` result already *is* the next activation;
+- every window copy and scatter-add runs over ``OW*N`` contiguous floats
+  (``N`` for strided convs), 64-256 at the training batch sizes;
+- a 1x1 stride-1 conv needs no im2col at all: its columns are a free
+  reshape of the input;
+- batchnorm and the global average pool reduce over contiguous axes.
+
+The seed's ``(N, C, H, W)`` ``kernel^2``-slice loops are kept as
+``_im2col_loop`` / ``_col2im_loop`` for equivalence tests and the
+``bench --group nn`` seed references.
 """
 
 from __future__ import annotations
@@ -31,10 +35,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
+    "batch_innermost",
     "im2col",
     "col2im",
-    "im2col_blocked",
-    "col2im_blocked",
     "conv2d",
     "conv2d_backward",
     "max_pool2d",
@@ -48,48 +51,63 @@ __all__ = [
 ]
 
 
+def batch_innermost(x: np.ndarray) -> np.ndarray:
+    """Convert an ``(N, C, H, W)`` batch to the internal ``(C, H, W, N)`` layout."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
+
+
 def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
     """Spatial output size of a conv/pool window sweep."""
     return (size + 2 * pad - kernel) // stride + 1
 
 
+def _is_pointwise(kernel: int, stride: int, pad: int) -> bool:
+    """A 1x1 stride-1 unpadded window: the columns are the input itself."""
+    return kernel == 1 and stride == 1 and pad == 0
+
+
 def _pad2d(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad the two spatial axes (cheaper than generic ``np.pad``)."""
+    """Zero-pad the two spatial axes of a ``(C, H, W, N)`` array."""
     if pad == 0:
         return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    out[:, :, pad : pad + h, pad : pad + w] = x
+    c, h, w, n = x.shape
+    out = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+    out[:, pad : pad + h, pad : pad + w] = x
     return out
 
 
-def _window_view(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Zero-copy ``(N, C, K, K, OH, OW)`` sliding-window view of a padded input."""
-    n, c, h, w = x.shape
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
-    sn, sc, sh, sw = x.strides
-    return as_strided(
-        x,
-        shape=(n, c, kernel, kernel, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-    )
+def im2col(
+    x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Unfold ``(C, H, W, N)`` into columns ``(C*K*K, OH*OW*N)``.
 
-
-def im2col(x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Unfold ``(N, C, H, W)`` into ``(N * OH * OW, C * kernel * kernel)``.
-
-    Each row is one receptive field, so a convolution becomes a single
-    matrix multiply against the flattened filter bank.  Built from a
-    strided window view and one contiguous copy; bit-identical to the
-    seed loop (``_im2col_loop``).
+    Row ``(c, ky, kx)`` holds input channel ``c`` at kernel offset
+    ``(ky, kx)`` for every output position and sample, so a convolution
+    is one GEMM against the flattened ``(C_out, C*K*K)`` filter bank.
+    The copy reads a zero-copy window view whose innermost run is
+    ``OW*N`` contiguous floats (``N`` when strided).  ``out``, when
+    given, receives the copy instead of a fresh allocation (the
+    :mod:`repro.nn.scratch` pool leases these).  A pointwise window
+    (:func:`_is_pointwise`) returns a free reshape of ``x`` and ignores
+    ``out``.
     """
-    n, c, h, w = x.shape
+    c, h, w, n = x.shape
+    if _is_pointwise(kernel, stride, pad):
+        return x.reshape(c, h * w * n)
     oh = _out_size(h, kernel, stride, pad)
     ow = _out_size(w, kernel, stride, pad)
-    view = _window_view(_pad2d(x, pad), kernel, stride)
-    cols = np.ascontiguousarray(view)
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1)
+    xp = _pad2d(x, pad)
+    sc, sh, sw, sn = xp.strides
+    view = as_strided(
+        xp,
+        shape=(c, kernel, kernel, oh, ow, n),
+        strides=(sc, sh, sw, sh * stride, sw * stride, sn),
+    )
+    if out is None:
+        out = np.empty((c * kernel * kernel, oh * ow * n), dtype=x.dtype)
+    np.copyto(out.reshape(c, kernel, kernel, oh, ow, n), view)
+    return out
 
 
 def col2im(
@@ -99,89 +117,40 @@ def col2im(
     stride: int = 1,
     pad: int = 0,
 ) -> np.ndarray:
-    """Fold the im2col matrix back to ``(N, C, H, W)``, summing overlaps.
+    """Fold ``(C*K*K, OH*OW*N)`` columns back to ``(C, H, W, N)``, summing overlaps.
 
-    This is the adjoint of :func:`im2col` and therefore exactly the gradient
-    routing a convolution's backward pass needs.
+    The adjoint of :func:`im2col`, and therefore exactly the gradient
+    routing a convolution's backward pass needs.  Each kernel position's
+    scatter-add runs over ``OW*N`` contiguous floats.
     """
-    n, c, h, w = x_shape
+    c, h, w, n = x_shape
+    if _is_pointwise(kernel, stride, pad):
+        return cols.reshape(x_shape)
     oh = _out_size(h, kernel, stride, pad)
     ow = _out_size(w, kernel, stride, pad)
-    cols = cols.reshape(n, oh, ow, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    return _scatter_windows(cols, x_shape, kernel, stride, pad)
-
-
-def im2col_blocked(
-    x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Unfold into the blocked ``(N, C*K*K, OH*OW)`` layout.
-
-    This layout is a free reshape of the contiguous window copy — no
-    transpose-gather — and GEMMs directly against a ``(C_out, C*K*K)``
-    filter bank, producing output already in channel-major order.
-    Returns ``(cols, (oh, ow))``.
-
-    ``out``, when given, receives the column copy instead of a fresh
-    allocation — a C-contiguous ``(N, C*K*K, OH*OW)`` buffer of ``x``'s
-    dtype (the :mod:`repro.nn.scratch` pool leases these); the copy is
-    bit-identical either way.
-    """
-    n, c, h, w = x.shape
-    oh = _out_size(h, kernel, stride, pad)
-    ow = _out_size(w, kernel, stride, pad)
-    view = _window_view(_pad2d(x, pad), kernel, stride)
-    if out is not None:
-        np.copyto(out.reshape(n, c, kernel, kernel, oh, ow), view)
-        return out, (oh, ow)
-    cols = np.ascontiguousarray(view).reshape(n, c * kernel * kernel, oh * ow)
-    return cols, (oh, ow)
-
-
-def col2im_blocked(
-    cols: np.ndarray,
-    x_shape: tuple,
-    kernel: int,
-    stride: int = 1,
-    pad: int = 0,
-) -> np.ndarray:
-    """Adjoint of :func:`im2col_blocked`: fold ``(N, C*K*K, OH*OW)`` back.
-
-    Unlike :func:`col2im`, the kernel-position slices here are contiguous
-    reads, which makes the scatter-add memory-bandwidth bound instead of
-    gather-bound.
-    """
-    n, c, h, w = x_shape
-    oh = _out_size(h, kernel, stride, pad)
-    ow = _out_size(w, kernel, stride, pad)
-    windows = cols.reshape(n, c, kernel, kernel, oh, ow)
-    return _scatter_windows(windows, x_shape, kernel, stride, pad)
-
-
-def _scatter_windows(
-    windows: np.ndarray, x_shape: tuple, kernel: int, stride: int, pad: int
-) -> np.ndarray:
-    """Sum ``(N, C, K, K, OH, OW)`` window gradients back onto the input grid."""
-    n, c, h, w = x_shape
-    oh, ow = windows.shape[4], windows.shape[5]
-    x = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=windows.dtype)
+    windows = cols.reshape(c, kernel, kernel, oh, ow, n)
+    x = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
     for ky in range(kernel):
         y_max = ky + stride * oh
         for kx in range(kernel):
             x_max = kx + stride * ow
+            target = x[:, ky:y_max:stride, kx:x_max:stride]
             if ky == 0 and kx == 0:
                 # The accumulator starts at zero: plain assignment saves a
                 # full read pass over the largest array.
-                x[:, :, :y_max:stride, :x_max:stride] = windows[:, :, 0, 0]
+                target[...] = windows[:, 0, 0]
             else:
-                x[:, :, ky:y_max:stride, kx:x_max:stride] += windows[:, :, ky, kx]
+                target += windows[:, ky, kx]
     if pad > 0:
-        return x[:, :, pad : pad + h, pad : pad + w]
+        return x[:, pad : pad + h, pad : pad + w]
     return x
 
 
 def _im2col_loop(x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Seed ``kernel^2``-slice im2col (reference for tests/benchmarks)."""
+    """Seed ``(N, C, H, W)`` ``kernel^2``-slice im2col, rows ``(N*OH*OW, C*K*K)``.
+
+    Reference for tests and benchmarks only.
+    """
     n, c, h, w = x.shape
     oh = _out_size(h, kernel, stride, pad)
     ow = _out_size(w, kernel, stride, pad)
@@ -204,7 +173,7 @@ def _col2im_loop(
     stride: int = 1,
     pad: int = 0,
 ) -> np.ndarray:
-    """Seed ``kernel^2``-slice col2im (reference for tests/benchmarks)."""
+    """Seed ``(N, C, H, W)`` ``kernel^2``-slice col2im (reference only)."""
     n, c, h, w = x_shape
     oh = _out_size(h, kernel, stride, pad)
     ow = _out_size(w, kernel, stride, pad)
@@ -229,22 +198,24 @@ def conv2d(
     pad: int = 0,
     cols_out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """2-D convolution. ``weight`` is ``(C_out, C_in, K, K)``.
+    """2-D convolution of ``(C, H, W, N)`` input; ``weight`` is ``(C_out, C_in, K, K)``.
 
-    Returns ``(output, cols)`` where ``cols`` is the blocked
-    ``(N, C*K*K, OH*OW)`` column buffer (:func:`im2col_blocked`) that the
-    backward pass reuses — the forward builds it once per batch and
-    :class:`repro.nn.modules.Conv2d` threads it through, so backward
-    never re-derives columns.  ``cols_out`` lets the caller supply that
-    buffer (a pooled scratch lease) instead of allocating it per batch.
+    Returns ``(output, cols)``: the ``(C_out, OH, OW, N)`` output and the
+    ``(C*K*K, OH*OW*N)`` column matrix (:func:`im2col`) the backward pass
+    reuses — :class:`repro.nn.modules.Conv2d` threads it through, so
+    backward never re-derives columns.  ``cols_out`` lets the caller
+    supply that buffer (a pooled scratch lease) instead of allocating it
+    per batch.
     """
-    n = x.shape[0]
     c_out, _, k, _ = weight.shape
-    cols, (oh, ow) = im2col_blocked(x, k, stride, pad, out=cols_out)
-    out = np.matmul(weight.reshape(c_out, -1), cols)  # (n, c_out, oh*ow)
+    _, h, w, n = x.shape
+    oh = _out_size(h, k, stride, pad)
+    ow = _out_size(w, k, stride, pad)
+    cols = im2col(x, k, stride, pad, out=cols_out)
+    out = weight.reshape(c_out, -1) @ cols  # (c_out, oh*ow*n): one GEMM
     if bias is not None:
         out += bias[:, None]
-    return out.reshape(n, c_out, oh, ow), cols
+    return out.reshape(c_out, oh, ow, n), cols
 
 
 def conv2d_backward(
@@ -255,41 +226,34 @@ def conv2d_backward(
     stride: int = 1,
     pad: int = 0,
     with_bias: bool = False,
+    overwrite_cols: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Backward pass of :func:`conv2d` given its blocked column cache.
+    """Backward pass of :func:`conv2d` given its column cache.
 
     Returns ``(grad_x, grad_weight, grad_bias)``; ``grad_bias`` is ``None``
-    unless ``with_bias`` is set.  ``grad_weight`` is one batched GEMM on
-    the blocked layout.  ``grad_x`` fuses the column gradient with its
-    scatter: each kernel position's ``(C_in, C_out)`` filter slice
-    multiplies the output gradient and accumulates straight into the
-    padded input-gradient buffer, so the ``(N, C*K*K, OH*OW)`` column
-    gradient is never materialized.
+    unless ``with_bias`` is set.  One GEMM gives ``grad_weight``, one
+    gives the column gradient, and :func:`col2im` scatters it back.
+    ``overwrite_cols`` lets the column gradient reuse ``cols``'s buffer
+    (the caller is done with it) instead of allocating its own.
     """
-    c_out, c_in, k, _ = weight.shape
-    n, _, h, w = x_shape
-    oh, ow = grad_out.shape[2], grad_out.shape[3]
-    g = grad_out.reshape(n, c_out, -1)  # (n, c_out, oh*ow), free reshape
+    c_out = weight.shape[0]
+    k = weight.shape[2]
+    g = grad_out.reshape(c_out, -1)  # (c_out, oh*ow*n)
+    w2 = weight.reshape(c_out, -1)
+    grad_weight = (g @ cols.T).reshape(weight.shape)
+    grad_bias = g.sum(axis=1) if with_bias else None
+    reuse = overwrite_cols and cols.dtype == np.result_type(w2, g)
+    grad_cols = np.matmul(w2.T, g, out=cols if reuse else None)
+    return col2im(grad_cols, x_shape, k, stride, pad), grad_weight, grad_bias
 
-    grad_weight = (
-        np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, c_in, k, k)
-    )
-    grad_bias = grad_out.sum(axis=(0, 2, 3)) if with_bias else None
 
-    grad_x = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
-    for ky in range(k):
-        y_max = ky + stride * oh
-        for kx in range(k):
-            x_max = kx + stride * ow
-            contrib = np.matmul(weight[:, :, ky, kx].T, g).reshape(n, c_in, oh, ow)
-            target = grad_x[:, :, ky:y_max:stride, kx:x_max:stride]
-            if ky == 0 and kx == 0:
-                target[...] = contrib  # buffer is calloc-zero: skip the read pass
-            else:
-                target += contrib
-    if pad > 0:
-        grad_x = grad_x[:, :, pad : pad + h, pad : pad + w]
-    return grad_x, grad_weight, grad_bias
+def _pool_windows(x: np.ndarray, kernel: int, stride: int) -> tuple[np.ndarray, tuple]:
+    """``(C, K*K, OH*OW*N)`` pooling windows of ``x`` and the output shape."""
+    c, h, w, n = x.shape
+    oh = _out_size(h, kernel, stride, 0)
+    ow = _out_size(w, kernel, stride, 0)
+    windows = im2col(x, kernel, stride, 0).reshape(c, kernel * kernel, -1)
+    return windows, (c, oh, ow, n)
 
 
 def max_pool2d(
@@ -297,15 +261,13 @@ def max_pool2d(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max pooling. Returns ``(output, argmax)`` with argmax cached for backward.
 
-    ``argmax`` is ``(N, C, OH*OW)`` holding flat ``ky*K + kx`` window
+    ``argmax`` is ``(C, OH*OW*N)`` holding flat ``ky*K + kx`` window
     positions (ties resolve to the first maximum, as in the seed kernel).
     """
-    n, c, h, w = x.shape
-    cols, (oh, ow) = im2col_blocked(x, kernel, stride or kernel, 0)
-    windows = cols.reshape(n, c, kernel * kernel, oh * ow)
-    argmax = windows.argmax(axis=2)  # (n, c, oh*ow)
-    out = np.take_along_axis(windows, argmax[:, :, None, :], axis=2)[:, :, 0, :]
-    return out.reshape(n, c, oh, ow), argmax
+    windows, out_shape = _pool_windows(x, kernel, stride or kernel)
+    argmax = windows.argmax(axis=1)
+    out = np.take_along_axis(windows, argmax[:, None, :], axis=1)[:, 0, :]
+    return out.reshape(out_shape), argmax
 
 
 def max_pool2d_backward(
@@ -316,40 +278,31 @@ def max_pool2d_backward(
     stride: int | None = None,
 ) -> np.ndarray:
     """Backward pass of :func:`max_pool2d` — route gradients to the argmax."""
-    stride = stride or kernel
-    n, c, h, w = x_shape
-    oh = _out_size(h, kernel, stride, 0)
-    ow = _out_size(w, kernel, stride, 0)
-
-    grad_windows = np.zeros((n, c, kernel * kernel, oh * ow), dtype=grad_out.dtype)
+    c = x_shape[0]
+    grad_windows = np.zeros((c, kernel * kernel, argmax.shape[1]), dtype=grad_out.dtype)
     np.put_along_axis(
-        grad_windows, argmax[:, :, None, :], grad_out.reshape(n, c, 1, -1), axis=2
+        grad_windows, argmax[:, None, :], grad_out.reshape(c, 1, -1), axis=1
     )
-    return col2im_blocked(
-        grad_windows.reshape(n, c * kernel * kernel, oh * ow), x_shape, kernel, stride, 0
+    return col2im(
+        grad_windows.reshape(c * kernel * kernel, -1), x_shape, kernel, stride or kernel, 0
     )
 
 
 def avg_pool2d(x: np.ndarray, kernel: int, stride: int | None = None) -> np.ndarray:
     """Average pooling over non-overlapping (or strided) windows."""
-    n, c, h, w = x.shape
-    cols, (oh, ow) = im2col_blocked(x, kernel, stride or kernel, 0)
-    out = cols.reshape(n, c, kernel * kernel, oh * ow).mean(axis=2)
-    return out.reshape(n, c, oh, ow)
+    windows, out_shape = _pool_windows(x, kernel, stride or kernel)
+    return windows.mean(axis=1).reshape(out_shape)
 
 
 def avg_pool2d_backward(
     grad_out: np.ndarray, x_shape: tuple, kernel: int, stride: int | None = None
 ) -> np.ndarray:
     """Backward pass of :func:`avg_pool2d` — spread gradients uniformly."""
-    stride = stride or kernel
-    n, c, h, w = x_shape
-    oh = _out_size(h, kernel, stride, 0)
-    ow = _out_size(w, kernel, stride, 0)
-    grad = grad_out.reshape(n, c, 1, oh * ow) / (kernel * kernel)
-    grad_windows = np.broadcast_to(grad, (n, c, kernel * kernel, oh * ow))
-    return col2im_blocked(
-        grad_windows.reshape(n, c * kernel * kernel, oh * ow), x_shape, kernel, stride, 0
+    c = x_shape[0]
+    grad = grad_out.reshape(c, 1, -1) / (kernel * kernel)
+    grad_windows = np.broadcast_to(grad, (c, kernel * kernel, grad.shape[2]))
+    return col2im(
+        grad_windows.reshape(c * kernel * kernel, -1), x_shape, kernel, stride or kernel, 0
     )
 
 

@@ -174,7 +174,10 @@ def _kaiming_init(shape: tuple, fan_in: int, rng: np.random.Generator) -> np.nda
 
 
 class Conv2d(Module):
-    """2-D convolution (square kernels, no dilation/groups — all the ResNets need)."""
+    """2-D convolution of ``(C, H, W, N)`` activations.
+
+    Square kernels, no dilation/groups — all the ResNets need.
+    """
 
     def __init__(
         self,
@@ -201,30 +204,30 @@ class Conv2d(Module):
         self.bias = Parameter(np.zeros(out_channels), name="conv.bias") if bias else None
         self._cache: tuple | None = None
 
-    @shape_contract("N,C,H,W -> N,K,H',W'")
+    @shape_contract("C,H,W,N -> K,H',W',N")
     def forward(self, x: np.ndarray) -> np.ndarray:
         bias = self.bias.data if self.bias is not None else None
         pool = scratch_pool()
-        if pool is None:
-            out, cols = F.conv2d(x, self.weight.data, bias, self.stride, self.padding)
+        k, stride, pad = self.kernel_size, self.stride, self.padding
+        if pool is None or F._is_pointwise(k, stride, pad):
+            # Pointwise convs read their columns straight from the input.
+            out, cols = F.conv2d(x, self.weight.data, bias, stride, pad)
             if self.training:
                 self._release_cache()
                 self._cache = (cols, x.shape, None)
             return out
 
-        # Pooled path: the blocked column buffer comes from the scratch
-        # arena.  In train mode the lease rides in the cache and is
-        # released by backward(); otherwise it returns here.
-        n, c, h, w = x.shape
-        k = self.kernel_size
-        oh = (h + 2 * self.padding - k) // self.stride + 1
-        ow = (w + 2 * self.padding - k) // self.stride + 1
-        lease = pool.lease((n, c * k * k, oh * ow), x.dtype)
+        # Pooled path: the column buffer comes from the scratch arena.  In
+        # train mode the lease rides in the cache and is released by
+        # backward(); otherwise it returns here.
+        c, h, w, n = x.shape
+        oh = (h + 2 * pad - k) // stride + 1
+        ow = (w + 2 * pad - k) // stride + 1
+        lease = pool.lease((c * k * k, oh * ow * n), x.dtype)
         handed_off = False
         try:
             out, cols = F.conv2d(
-                x, self.weight.data, bias, self.stride, self.padding,
-                cols_out=lease.array,
+                x, self.weight.data, bias, stride, pad, cols_out=lease.array,
             )
             if self.training:
                 self._release_cache()
@@ -256,6 +259,10 @@ class Conv2d(Module):
                 self.stride,
                 self.padding,
                 with_bias=self.bias is not None,
+                # Pointwise columns are a view of the forward input.
+                overwrite_cols=not F._is_pointwise(
+                    self.kernel_size, self.stride, self.padding
+                ),
             )
         finally:
             if lease is not None:
@@ -317,7 +324,10 @@ class Linear(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch normalization over the channel axis of ``(N, C, H, W)`` inputs."""
+    """Batch normalization over the channel axis of ``(C, H, W, N)`` inputs.
+
+    Each channel's statistics reduce over its contiguous ``H*W*N`` row.
+    """
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
@@ -331,46 +341,52 @@ class BatchNorm2d(Module):
         self._buffers = ("running_mean", "running_var")
         self._cache: tuple | None = None
 
-    @shape_contract("N,C,H,W -> N,C,H,W")
+    @shape_contract("C,H,W,N -> C,H,W,N")
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean
-            ).astype(np.float32)
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var
-            ).astype(np.float32)
-        else:
-            mean = self.running_mean
-            var = self.running_var
+        rows = x.reshape(x.shape[0], -1)  # (C, H*W*N)
+        gamma = self.weight.data[:, None]
+        beta = self.bias.data[:, None]
+        if not self.training:
+            # Folded affine: one multiply-add pass over the activation.
+            scale = gamma / np.sqrt(self.running_var[:, None] + self.eps)
+            out = rows * scale
+            out += beta - self.running_mean[:, None] * scale
+            return out.reshape(x.shape)
 
+        mean = rows.mean(axis=1)
+        x_hat = rows - mean[:, None]
+        var = np.einsum("ij,ij->i", x_hat, x_hat) / rows.shape[1]
+        self.running_mean = (
+            (1 - self.momentum) * self.running_mean + self.momentum * mean
+        ).astype(np.float32)
+        self.running_var = (
+            (1 - self.momentum) * self.running_var + self.momentum * var
+        ).astype(np.float32)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = self.weight.data[None, :, None, None] * x_hat + self.bias.data[None, :, None, None]
-        if self.training:
-            self._cache = (x_hat, inv_std)
-        return out
+        x_hat *= inv_std[:, None]
+        out = x_hat * gamma
+        out += beta
+        self._cache = (x_hat, inv_std)
+        return out.reshape(x.shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (or in eval mode)")
         x_hat, inv_std = self._cache
         self._cache = None
-        n, _, h, w = grad_out.shape
-        m = n * h * w
+        g = grad_out.reshape(grad_out.shape[0], -1)
+        m = g.shape[1]
+        sum_g = g.sum(axis=1)
+        sum_gx = np.einsum("ij,ij->i", g, x_hat)
+        self.weight.grad += sum_gx
+        self.bias.grad += sum_g
 
-        self.weight.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
-        self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-
-        gamma = self.weight.data[None, :, None, None]
-        grad_xhat = grad_out * gamma
         # Standard batchnorm backward: subtract the batch-mean components.
-        sum_g = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (grad_xhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        grad_x = (grad_xhat - sum_g / m - x_hat * sum_gx / m) * inv_std[None, :, None, None]
-        return grad_x
+        scale = self.weight.data * inv_std
+        grad_x = g * scale[:, None]
+        grad_x -= x_hat * (scale * sum_gx / m)[:, None]
+        grad_x -= (scale * sum_g / m)[:, None]
+        return grad_x.reshape(grad_out.shape)
 
     def __repr__(self) -> str:
         return f"BatchNorm2d({self.num_features})"
@@ -406,7 +422,7 @@ class MaxPool2d(Module):
         self.stride = stride or kernel_size
         self._cache: tuple | None = None
 
-    @shape_contract("N,C,H,W -> N,C,H',W'")
+    @shape_contract("C,H,W,N -> C,H',W',N")
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, argmax = F.max_pool2d(x, self.kernel_size, self.stride)
         if self.training:
@@ -430,7 +446,7 @@ class AvgPool2d(Module):
         self.stride = stride or kernel_size
         self._cache: tuple | None = None
 
-    @shape_contract("N,C,H,W -> N,C,H',W'")
+    @shape_contract("C,H,W,N -> C,H',W',N")
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
             self._cache = x.shape
@@ -445,46 +461,46 @@ class AvgPool2d(Module):
 
 
 class GlobalAvgPool2d(Module):
-    """Average over all spatial positions, yielding ``(N, C)``."""
+    """Average ``(C, H, W, N)`` over all spatial positions, yielding ``(N, C)``."""
 
     def __init__(self):
         super().__init__()
         self._cache: tuple | None = None
 
-    @shape_contract("N,C,H,W -> N,C")
+    @shape_contract("C,H,W,N -> N,C")
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
             self._cache = x.shape
-        return x.mean(axis=(2, 3))
+        return x.mean(axis=(1, 2)).T
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (or in eval mode)")
-        n, c, h, w = self._cache
+        c, h, w, n = self._cache
         self._cache = None
-        grad = grad_out[:, :, None, None] / (h * w)
-        return np.broadcast_to(grad, (n, c, h, w)).astype(grad_out.dtype)
+        grad = grad_out.T[:, None, None, :] / (h * w)
+        return np.broadcast_to(grad, (c, h, w, n)).astype(grad_out.dtype)
 
 
 class Flatten(Module):
-    """Flatten all non-batch dimensions."""
+    """Flatten a ``(C, H, W, N)`` activation to ``(N, C*H*W)`` rows."""
 
     def __init__(self):
         super().__init__()
         self._cache: tuple | None = None
 
-    @shape_contract("N,... -> N,F")
+    @shape_contract("C,H,W,N -> N,F")
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
             self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(-1, x.shape[-1]).T
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (or in eval mode)")
         shape = self._cache
         self._cache = None
-        return grad_out.reshape(shape)
+        return np.ascontiguousarray(grad_out.T).reshape(shape)
 
 
 class Identity(Module):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.contracts import shape_contract
+from repro.nn.functional import batch_innermost
 from repro.nn.modules import Module
 
 __all__ = ["quantize_tensor", "dequantize_tensor", "QuantizedModel", "quantized_state_bytes"]
@@ -158,7 +159,7 @@ class QuantizedModel:
             return self.model.features(x)
         # Staged forward with fake-quantized activations at stage
         # boundaries — the int8 activation path of the FPGA kernel.
-        out = self._fake_quant(x)
+        out = self._fake_quant(batch_innermost(x))
         out = self.model.stem_relu(self.model.stem_bn(self.model.stem_conv(out)))
         out = self._fake_quant(out)
         for stage in self.model.stages:

@@ -5,9 +5,12 @@ ResNet-50.  We implement all three faithfully, with a ``width`` multiplier
 so tests and laptop-scale experiments can instantiate narrow variants that
 train in seconds while keeping the exact block structure.
 
-All variants take ``(N, C, H, W)`` inputs; the stem is the CIFAR-style
-3x3/stride-1 convolution (no max-pool), which matches how the paper's small
-datasets are trained.
+All variants take ``(N, C, H, W)`` inputs and return ``(N, L)`` logits;
+:func:`~repro.nn.functional.batch_innermost` converts the batch once at
+the entry, and every block runs on the internal ``(C, H, W, N)`` layout
+(see :mod:`repro.nn.functional`).  The stem is the CIFAR-style
+3x3/stride-1 convolution (no max-pool), which matches how the paper's
+small datasets are trained.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.contracts import shape_contract
+from repro.nn.functional import batch_innermost
 from repro.nn.modules import (
     BatchNorm2d,
     Conv2d,
@@ -57,7 +61,7 @@ class BasicBlock(Module):
         else:
             self.shortcut = Identity()
 
-    @shape_contract("N,C,H,W -> N,K,H',W'")
+    @shape_contract("C,H,W,N -> K,H',W',N")
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.relu1(self.bn1(self.conv1(x)))
         out = self.bn2(self.conv2(out))
@@ -107,7 +111,7 @@ class Bottleneck(Module):
         else:
             self.shortcut = Identity()
 
-    @shape_contract("N,C,H,W -> N,K,H',W'")
+    @shape_contract("C,H,W,N -> K,H',W',N")
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.relu1(self.bn1(self.conv1(x)))
         out = self.relu2(self.bn2(self.conv2(out)))
@@ -176,7 +180,7 @@ class ResNet(Module):
     @shape_contract("N,C,H,W -> N,E")
     def features(self, x: np.ndarray) -> np.ndarray:
         """Pooled penultimate-layer embedding, shape ``(N, embedding_dim)``."""
-        out = self.stem_relu(self.stem_bn(self.stem_conv(x)))
+        out = self.stem_relu(self.stem_bn(self.stem_conv(batch_innermost(x))))
         for stage in self.stages:
             out = stage(out)
         return self.pool(out)
@@ -188,7 +192,7 @@ class ResNet(Module):
             grad = stage.backward(grad)
         grad = self.stem_relu.backward(grad)
         grad = self.stem_bn.backward(grad)
-        return self.stem_conv.backward(grad)
+        return self.stem_conv.backward(grad).transpose(3, 0, 1, 2)
 
     def __repr__(self) -> str:
         return (

@@ -417,7 +417,7 @@ def _conv_inputs(size: str):
 
 
 def _seed_conv2d(x, weight, stride, pad):
-    """Seed forward: loop im2col + row-major GEMM + output transpose."""
+    """Seed forward on ``(N, C, H, W)``: loop im2col + row-major GEMM + transpose."""
     from repro.nn import functional as F
 
     n, _, h, w = x.shape
@@ -441,13 +441,47 @@ def _seed_conv2d_backward(grad_out, cols, x_shape, weight, stride, pad):
     return grad_x, grad_weight
 
 
+def _conv_case(x, w, stride, pad, params, forward=True, backward=True) -> BenchCase:
+    """Time ``conv2d`` (and/or its backward) on the ``(C, H, W, N)`` copy of ``x``.
+
+    ``x`` is ``(N, C, H, W)``: the seed side runs on it as-is, the case
+    under test on its batch-innermost copy (converted outside the timed
+    region).  Backward-only cases build the column cache once, outside.
+    """
+    from repro.nn import functional as F
+
+    xc = F.batch_innermost(x)
+    out, cols = F.conv2d(xc, w, stride=stride, pad=pad)
+    grad_out = np.random.default_rng(5).normal(size=out.shape).astype(np.float32)
+    _, seed_cols = _seed_conv2d(x, w, stride, pad)
+    seed_grad = np.ascontiguousarray(grad_out.transpose(3, 0, 1, 2))
+
+    def run():
+        if not backward:
+            return F.conv2d(xc, w, stride=stride, pad=pad)
+        if not forward:  # the shared cache must survive the repeats
+            return F.conv2d_backward(grad_out, cols, xc.shape, w, stride, pad)
+        cache = F.conv2d(xc, w, stride=stride, pad=pad)[1]
+        return F.conv2d_backward(grad_out, cache, xc.shape, w, stride, pad,
+                                 overwrite_cols=True)
+
+    def seed_run():
+        if not backward:
+            return _seed_conv2d(x, w, stride, pad)
+        cache = _seed_conv2d(x, w, stride, pad)[1] if forward else seed_cols
+        return _seed_conv2d_backward(seed_grad, cache, x.shape, w, stride, pad)
+
+    return BenchCase(run=run, seed_run=seed_run, params=params)
+
+
 @register_bench("nn.im2col", "nn")
 def _bench_im2col(size: str) -> BenchCase:
     from repro.nn import functional as F
 
     x, _, params = _conv_inputs(size)
+    xc = F.batch_innermost(x)
     return BenchCase(
-        run=lambda: F.im2col(x, 3, 1, 1),
+        run=lambda: F.im2col(xc, 3, 1, 1),
         seed_run=lambda: F._im2col_loop(x, 3, 1, 1),
         params=params,
     )
@@ -455,34 +489,47 @@ def _bench_im2col(size: str) -> BenchCase:
 
 @register_bench("nn.conv2d_forward", "nn")
 def _bench_conv2d_forward(size: str) -> BenchCase:
-    from repro.nn import functional as F
-
     x, w, params = _conv_inputs(size)
-    return BenchCase(
-        run=lambda: F.conv2d(x, w, stride=1, pad=1),
-        seed_run=lambda: _seed_conv2d(x, w, 1, 1),
-        params=params,
-    )
+    return _conv_case(x, w, 1, 1, params, backward=False)
 
 
 @register_bench("nn.conv2d_fwd_bwd", "nn")
 def _bench_conv2d_fwd_bwd(size: str) -> BenchCase:
     """Full training step of one conv layer: forward + backward."""
-    from repro.nn import functional as F
-
     x, w, params = _conv_inputs(size)
-    grad_out_shape = (x.shape[0], w.shape[0], x.shape[2], x.shape[3])
-    grad_out = np.random.default_rng(5).normal(size=grad_out_shape).astype(np.float32)
+    return _conv_case(x, w, 1, 1, params)
 
-    def run():
-        out, cols = F.conv2d(x, w, stride=1, pad=1)
-        return F.conv2d_backward(grad_out, cols, x.shape, w, 1, 1)
 
-    def seed_run():
-        out, cols = _seed_conv2d(x, w, 1, 1)
-        return _seed_conv2d_backward(grad_out, cols, x.shape, w, 1, 1)
+# Real training shapes: the 3x3 convs of ResNet-20 at width 6 (the
+# cifar10 workloads' model) on its 8x8 / 4x4 / 2x2 stages, at the training
+# batch (64) and a proxy/eval-sized batch (256); plus the ResNet-18 w6
+# stage-4 conv at 1x1 spatial, whose backward was the NCHW layout's worst
+# case.  "tiny" shrinks the batch to 4 so CLI smoke runs stay fast.
+_RESNET20_W6_STAGES = {"8x8": (6, 8), "4x4": (12, 4), "2x2": (24, 2)}
 
-    return BenchCase(run=run, seed_run=seed_run, params=params)
+
+def _real_conv_bench(channels, hw, batch, forward, backward):
+    def make(size: str) -> BenchCase:
+        n = batch if size == "default" else 4
+        rng = np.random.default_rng(hw * 1000 + batch)
+        x = rng.normal(size=(n, channels, hw, hw)).astype(np.float32)
+        w = rng.normal(size=(channels, channels, 3, 3)).astype(np.float32) * 0.1
+        params = {"n": n, "c_in": channels, "hw": hw, "c_out": channels, "k": 3,
+                  "stride": 1, "pad": 1}
+        return _conv_case(x, w, 1, 1, params, forward=forward, backward=backward)
+
+    return make
+
+
+for _spatial, (_channels, _hw) in _RESNET20_W6_STAGES.items():
+    for _batch in (64, 256):
+        _stem = f"nn.resnet20_w6_conv{_spatial}_b{_batch}"
+        register_bench(f"{_stem}_fwd", "nn")(
+            _real_conv_bench(_channels, _hw, _batch, forward=True, backward=False))
+        register_bench(f"{_stem}_fwd_bwd", "nn")(
+            _real_conv_bench(_channels, _hw, _batch, forward=True, backward=True))
+register_bench("nn.resnet18_w6_stage4_conv1x1_b256_bwd", "nn")(
+    _real_conv_bench(48, 1, 256, forward=False, backward=True))
 
 
 # -- parallel group: the multi-core selection engine -------------------------

@@ -101,6 +101,32 @@ class TestContractConformance:
         assert findings == []
         assert len(suppressed) == 1
 
+    LAYOUT = """
+        from repro.nn import functional as F
+        from repro.nn.contracts import shape_contract
+
+        class Entry:
+            @shape_contract("{entry}")
+            def forward(self, x):
+                return F.batch_innermost(x)
+
+        class Pool:
+            @shape_contract("{pool}")
+            def forward(self, x):
+                out, _ = F.max_pool2d(x, 2)
+                return out
+    """
+
+    def test_functional_intrinsics_follow_batch_innermost_layout(self, tmp_path):
+        source = self.LAYOUT.format(entry="N,C,H,W -> C,H,W,N", pool="C,H,W,N -> C,H',W',N")
+        findings, _ = run(tmp_path, {"repro/nn/layout.py": source}, "NES013")
+        assert findings == []
+
+    def test_batch_first_contracts_on_functional_calls_flagged(self, tmp_path):
+        source = self.LAYOUT.format(entry="N,C,H,W -> N,C,H,W", pool="C,H,W,N -> N,C,H',W'")
+        findings, _ = run(tmp_path, {"repro/nn/layout.py": source}, "NES013")
+        assert sorted(f.message.split(".")[0] for f in findings) == ["Entry", "Pool"]
+
     def test_real_nn_chain_passes(self):
         """The committed repro.nn modules honour their own contracts."""
         findings, _ = lint_paths(["src/repro/nn"], select={"NES013"})

@@ -8,26 +8,37 @@ from hypothesis import strategies as st
 from repro.nn import functional as F
 
 
+def chwn(x):
+    """An ``(N, C, H, W)`` test array in the kernels' ``(C, H, W, N)`` layout."""
+    return F.batch_innermost(x)
+
+
+def seed_cols_to_chwn(cols, n, oh, ow):
+    """Seed row-major ``(N*OH*OW, C*K*K)`` columns as ``(C*K*K, OH*OW*N)``."""
+    return cols.reshape(n, oh, ow, -1).transpose(3, 1, 2, 0).reshape(cols.shape[1], -1)
+
+
 class TestIm2Col:
     def test_roundtrip_shapes(self):
-        x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
+        x = np.random.default_rng(0).normal(size=(3, 8, 8, 2)).astype(np.float32)
         cols = F.im2col(x, kernel=3, stride=1, pad=1)
-        assert cols.shape == (2 * 8 * 8, 3 * 9)
+        assert cols.shape == (3 * 9, 8 * 8 * 2)
 
     def test_stride_reduces_output(self):
-        x = np.ones((1, 1, 8, 8), dtype=np.float32)
+        x = np.ones((1, 8, 8, 1), dtype=np.float32)
         cols = F.im2col(x, kernel=2, stride=2)
-        assert cols.shape == (16, 4)
+        assert cols.shape == (4, 16)
 
     def test_identity_kernel_one(self):
-        x = np.random.default_rng(1).normal(size=(1, 2, 4, 4)).astype(np.float32)
+        x = np.random.default_rng(1).normal(size=(2, 4, 4, 1)).astype(np.float32)
         cols = F.im2col(x, kernel=1)
-        assert np.allclose(cols.reshape(16, 2), x.transpose(0, 2, 3, 1).reshape(16, 2))
+        assert np.allclose(cols, x.reshape(2, 16))
+        assert np.shares_memory(cols, x)  # pointwise: a free reshape, no copy
 
     def test_col2im_is_adjoint_of_im2col(self):
         """<im2col(x), y> == <x, col2im(y)> — the defining adjoint identity."""
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, 3, 6, 6)).astype(np.float64)
+        x = rng.normal(size=(3, 6, 6, 2)).astype(np.float64)
         cols = F.im2col(x, kernel=3, stride=1, pad=1)
         y = rng.normal(size=cols.shape)
         lhs = float((cols * y).sum())
@@ -43,7 +54,7 @@ class TestIm2Col:
     @settings(max_examples=25, deadline=None)
     def test_adjoint_property(self, kernel, stride, pad, h):
         rng = np.random.default_rng(kernel * 100 + stride * 10 + pad + h)
-        x = rng.normal(size=(1, 2, h, h))
+        x = rng.normal(size=(2, h, h, 1))
         cols = F.im2col(x, kernel, stride, pad)
         y = rng.normal(size=cols.shape)
         lhs = float((cols * y).sum())
@@ -52,7 +63,7 @@ class TestIm2Col:
 
 
 class TestStridedIm2ColEquivalence:
-    """The as_strided im2col must be bit-identical to the seed loop."""
+    """The (C, H, W, N) im2col/col2im carry exactly the seed loop's values."""
 
     @pytest.mark.parametrize("kernel", [1, 2, 3, 5])
     @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -60,8 +71,10 @@ class TestStridedIm2ColEquivalence:
     def test_im2col_matches_loop(self, kernel, stride, pad):
         rng = np.random.default_rng(kernel * 100 + stride * 10 + pad)
         x = rng.normal(size=(2, 3, 11, 11)).astype(np.float32)
+        oh = (11 + 2 * pad - kernel) // stride + 1
         np.testing.assert_array_equal(
-            F.im2col(x, kernel, stride, pad), F._im2col_loop(x, kernel, stride, pad)
+            F.im2col(chwn(x), kernel, stride, pad),
+            seed_cols_to_chwn(F._im2col_loop(x, kernel, stride, pad), 2, oh, oh),
         )
 
     @pytest.mark.parametrize("kernel", [1, 2, 3])
@@ -72,70 +85,55 @@ class TestStridedIm2ColEquivalence:
         x_shape = (2, 3, 9, 9)
         cols_shape = F._im2col_loop(np.zeros(x_shape), kernel, stride, pad).shape
         cols = rng.normal(size=cols_shape)
+        oh = (9 + 2 * pad - kernel) // stride + 1
         np.testing.assert_array_equal(
-            F.col2im(cols, x_shape, kernel, stride, pad),
-            F._col2im_loop(cols, x_shape, kernel, stride, pad),
+            F.col2im(seed_cols_to_chwn(cols, 2, oh, oh), (3, 9, 9, 2), kernel, stride, pad),
+            chwn(F._col2im_loop(cols, x_shape, kernel, stride, pad)),
         )
 
     def test_rectangular_input(self):
         x = np.random.default_rng(8).normal(size=(1, 2, 6, 10)).astype(np.float32)
-        np.testing.assert_array_equal(F.im2col(x, 3, 2, 1), F._im2col_loop(x, 3, 2, 1))
-
-    def test_blocked_layout_is_reshape_of_windows(self):
-        """Blocked cols carry the same values as the public layout."""
-        x = np.random.default_rng(9).normal(size=(2, 3, 8, 8)).astype(np.float32)
-        cols, (oh, ow) = F.im2col_blocked(x, 3, 1, 1)
-        assert cols.shape == (2, 3 * 9, oh * ow)
-        public = F.im2col(x, 3, 1, 1)  # (n*oh*ow, c*k*k)
-        regather = cols.reshape(2, 3 * 9, oh, ow).transpose(0, 2, 3, 1).reshape(-1, 27)
-        np.testing.assert_array_equal(regather, public)
-
-    def test_col2im_blocked_is_adjoint(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(2, 3, 7, 7))
-        cols, _ = F.im2col_blocked(x, 3, 2, 1)
-        y = rng.normal(size=cols.shape)
-        lhs = float((cols * y).sum())
-        rhs = float((x * F.col2im_blocked(y, x.shape, 3, 2, 1)).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        np.testing.assert_array_equal(
+            F.im2col(chwn(x), 3, 2, 1), seed_cols_to_chwn(F._im2col_loop(x, 3, 2, 1), 1, 3, 5)
+        )
 
 
 class TestConv2d:
     def test_matches_direct_convolution(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(1, 2, 5, 5)).astype(np.float32)
+        x = rng.normal(size=(2, 5, 5, 1)).astype(np.float32)
         w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
         out, _ = F.conv2d(x, w, stride=1, pad=1)
         # Direct reference at one spatial position.
-        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        ref = (padded[0, :, 2:5, 3:6] * w[1]).sum()
-        assert out[0, 1, 2, 3] == pytest.approx(ref, rel=1e-5)
+        padded = np.pad(x[..., 0], ((0, 0), (1, 1), (1, 1)))
+        ref = (padded[:, 2:5, 3:6] * w[1]).sum()
+        assert out[1, 2, 3, 0] == pytest.approx(ref, rel=1e-5)
 
     def test_output_shape_strided(self):
-        x = np.zeros((2, 3, 8, 8), dtype=np.float32)
+        x = np.zeros((3, 8, 8, 2), dtype=np.float32)
         w = np.zeros((4, 3, 3, 3), dtype=np.float32)
         out, _ = F.conv2d(x, w, stride=2, pad=1)
-        assert out.shape == (2, 4, 4, 4)
+        assert out.shape == (4, 4, 4, 2)
 
     def test_bias_added_per_channel(self):
-        x = np.zeros((1, 1, 3, 3), dtype=np.float32)
+        x = np.zeros((1, 3, 3, 1), dtype=np.float32)
         w = np.zeros((2, 1, 1, 1), dtype=np.float32)
         b = np.array([1.5, -2.0], dtype=np.float32)
         out, _ = F.conv2d(x, w, bias=b)
-        assert np.allclose(out[0, 0], 1.5)
-        assert np.allclose(out[0, 1], -2.0)
+        assert np.allclose(out[0], 1.5)
+        assert np.allclose(out[1], -2.0)
 
     def test_backward_gradcheck(self):
         """Finite-difference check of conv2d_backward in float64."""
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(2, 2, 4, 4))
+        x = rng.normal(size=(2, 4, 4, 2))
         w = rng.normal(size=(3, 2, 3, 3))
         out, cols = F.conv2d(x, w, stride=1, pad=1)
         g = rng.normal(size=out.shape)
         grad_x, grad_w, _ = F.conv2d_backward(g, cols, x.shape, w, 1, 1)
 
         eps = 1e-6
-        idx = (1, 0, 2, 3)
+        idx = (0, 2, 3, 1)
         x2 = x.copy()
         x2[idx] += eps
         out2, _ = F.conv2d(x2, w, stride=1, pad=1)
@@ -151,71 +149,72 @@ class TestConv2d:
 
 
 class TestBlockedConvEquivalence:
-    """Blocked-layout conv matches the seed im2col-GEMM formulation."""
+    """The one-GEMM (C, H, W, N) conv matches the seed im2col-GEMM formulation."""
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 2)])
     def test_forward_matches_seed_gemm(self, stride, pad):
         rng = np.random.default_rng(stride * 10 + pad)
         x = rng.normal(size=(2, 3, 9, 9))
         w = rng.normal(size=(4, 3, 3, 3))
-        out, _ = F.conv2d(x, w, stride=stride, pad=pad)
+        out, _ = F.conv2d(chwn(x), w, stride=stride, pad=pad)
         cols = F._im2col_loop(x, 3, stride, pad)
         oh = (9 + 2 * pad - 3) // stride + 1
-        ref = (cols @ w.reshape(4, -1).T).reshape(2, oh, oh, 4).transpose(0, 3, 1, 2)
+        ref = (cols @ w.reshape(4, -1).T).reshape(2, oh, oh, 4).transpose(3, 1, 2, 0)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
 
     def test_backward_matches_seed_path(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, 3, 8, 8))
         w = rng.normal(size=(4, 3, 3, 3))
-        out, cols = F.conv2d(x, w, stride=1, pad=1)
-        g = rng.normal(size=out.shape)
-        grad_x, grad_w, grad_b = F.conv2d_backward(g, cols, x.shape, w, 1, 1,
+        out, cols = F.conv2d(chwn(x), w, stride=1, pad=1)
+        g_seed = rng.normal(size=(2, 4, 8, 8))
+        grad_x, grad_w, grad_b = F.conv2d_backward(chwn(g_seed), cols, (3, 8, 8, 2), w, 1, 1,
                                                    with_bias=True)
 
         seed_cols = F._im2col_loop(x, 3, 1, 1)
-        g_flat = g.transpose(0, 2, 3, 1).reshape(-1, 4)
+        g_flat = g_seed.transpose(0, 2, 3, 1).reshape(-1, 4)
         ref_w = (g_flat.T @ seed_cols).reshape(4, 3, 3, 3)
         ref_x = F._col2im_loop(g_flat @ w.reshape(4, -1), x.shape, 3, 1, 1)
         np.testing.assert_allclose(grad_w, ref_w, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(grad_x, ref_x, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(grad_x, chwn(ref_x), rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(grad_b, g_flat.sum(axis=0), rtol=1e-12)
 
 
 class TestPooling:
     def test_max_pool_picks_maxima(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1)
         out, _ = F.max_pool2d(x, kernel=2)
-        assert np.allclose(out[0, 0], [[5, 7], [13, 15]])
+        assert np.allclose(out[0, :, :, 0], [[5, 7], [13, 15]])
 
     def test_max_pool_backward_routes_to_argmax(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1)
         out, argmax = F.max_pool2d(x, kernel=2)
         g = np.ones_like(out)
         grad = F.max_pool2d_backward(g, argmax, x.shape, kernel=2)
         expected = np.zeros((4, 4))
         for r, c in [(1, 1), (1, 3), (3, 1), (3, 3)]:
             expected[r, c] = 1.0
-        assert np.allclose(grad[0, 0], expected)
+        assert np.allclose(grad[0, :, :, 0], expected)
 
     def test_avg_pool_averages(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1)
         out = F.avg_pool2d(x, kernel=2)
-        assert np.allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
+        assert np.allclose(out[0, :, :, 0], [[2.5, 4.5], [10.5, 12.5]])
 
     def test_avg_pool_backward_spreads_uniformly(self):
-        x = np.zeros((1, 1, 4, 4), dtype=np.float32)
-        g = np.ones((1, 1, 2, 2), dtype=np.float32)
+        x = np.zeros((1, 4, 4, 1), dtype=np.float32)
+        g = np.ones((1, 2, 2, 1), dtype=np.float32)
         grad = F.avg_pool2d_backward(g, x.shape, kernel=2)
+        assert grad.shape == x.shape
         assert np.allclose(grad, 0.25)
 
     def test_multichannel_max_pool(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        x = rng.normal(size=(3, 4, 4, 2)).astype(np.float32)
         out, _ = F.max_pool2d(x, kernel=2)
         for n in range(2):
             for c in range(3):
-                assert out[n, c, 0, 0] == x[n, c, :2, :2].max()
+                assert out[c, 0, 0, n] == x[c, :2, :2, n].max()
 
 
 class TestActivations:

@@ -17,14 +17,14 @@ from repro.nn.resnet import resnet20
 class TestRectangularInputs:
     def test_conv_on_rectangular_images(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 3, 6, 10)).astype(np.float32)
+        x = rng.normal(size=(3, 6, 10, 2)).astype(np.float32)
         layer = Conv2d(3, 4, 3, padding=1, rng=rng)
         out = layer(x)
-        assert out.shape == (2, 4, 6, 10)
+        assert out.shape == (4, 6, 10, 2)
 
     def test_im2col_col2im_rectangular_adjoint(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 2, 5, 9))
+        x = rng.normal(size=(2, 5, 9, 1))
         cols = F.im2col(x, kernel=3, stride=2, pad=1)
         y = rng.normal(size=cols.shape)
         lhs = float((cols * y).sum())

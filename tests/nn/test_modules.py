@@ -116,11 +116,11 @@ class TestGradients:
 
     def test_conv_gradcheck(self):
         gradcheck_module(
-            Conv2d(2, 3, 3, padding=1, bias=True, rng=np.random.default_rng(2)), (2, 2, 5, 5)
+            Conv2d(2, 3, 3, padding=1, bias=True, rng=np.random.default_rng(2)), (2, 5, 5, 2)
         )
 
     def test_batchnorm_gradcheck(self):
-        gradcheck_module(BatchNorm2d(3), (4, 3, 4, 4))
+        gradcheck_module(BatchNorm2d(3), (3, 4, 4, 4))
 
     def test_sequential_chain_gradcheck(self):
         net = Sequential(
@@ -130,14 +130,14 @@ class TestGradients:
             Flatten(),
             Linear(4 * 4 * 4, 3, rng=np.random.default_rng(4)),
         )
-        gradcheck_module(net, (3, 2, 4, 4))
+        gradcheck_module(net, (2, 4, 4, 3))
 
 
 class TestBatchNorm:
     def test_train_normalizes_batch(self):
         rng = np.random.default_rng(8)
         bn = BatchNorm2d(3)
-        x = rng.normal(5.0, 2.0, size=(16, 3, 4, 4)).astype(np.float32)
+        x = rng.normal(5.0, 2.0, size=(3, 4, 4, 16)).astype(np.float32)
         out = bn(x)
         assert abs(out.mean()) < 1e-5
         assert out.std() == pytest.approx(1.0, abs=1e-2)
@@ -145,7 +145,7 @@ class TestBatchNorm:
     def test_running_stats_updated_in_train_only(self):
         rng = np.random.default_rng(9)
         bn = BatchNorm2d(2)
-        x = rng.normal(3.0, 1.0, size=(8, 2, 2, 2)).astype(np.float32)
+        x = rng.normal(3.0, 1.0, size=(2, 2, 2, 8)).astype(np.float32)
         bn.eval()
         bn(x)
         assert np.allclose(bn.running_mean, 0.0)
@@ -167,12 +167,12 @@ class TestShapes:
     @pytest.mark.parametrize(
         "layer,in_shape,out_shape",
         [
-            (Conv2d(3, 8, 3, padding=1), (2, 3, 8, 8), (2, 8, 8, 8)),
-            (Conv2d(3, 8, 3, stride=2, padding=1), (2, 3, 8, 8), (2, 8, 4, 4)),
-            (MaxPool2d(2), (2, 3, 8, 8), (2, 3, 4, 4)),
-            (AvgPool2d(2), (2, 3, 8, 8), (2, 3, 4, 4)),
-            (GlobalAvgPool2d(), (2, 3, 8, 8), (2, 3)),
-            (Flatten(), (2, 3, 4, 4), (2, 48)),
+            (Conv2d(3, 8, 3, padding=1), (3, 8, 8, 2), (8, 8, 8, 2)),
+            (Conv2d(3, 8, 3, stride=2, padding=1), (3, 8, 8, 2), (8, 4, 4, 2)),
+            (MaxPool2d(2), (3, 8, 8, 2), (3, 4, 4, 2)),
+            (AvgPool2d(2), (3, 8, 8, 2), (3, 4, 4, 2)),
+            (GlobalAvgPool2d(), (3, 8, 8, 2), (2, 3)),
+            (Flatten(), (3, 4, 4, 2), (2, 48)),
             (Identity(), (2, 5), (2, 5)),
         ],
     )
@@ -183,10 +183,10 @@ class TestShapes:
     @pytest.mark.parametrize(
         "layer,in_shape",
         [
-            (MaxPool2d(2), (2, 3, 8, 8)),
-            (AvgPool2d(2), (2, 3, 8, 8)),
-            (GlobalAvgPool2d(), (2, 3, 8, 8)),
-            (Flatten(), (2, 3, 4, 4)),
+            (MaxPool2d(2), (3, 8, 8, 2)),
+            (AvgPool2d(2), (3, 8, 8, 2)),
+            (GlobalAvgPool2d(), (3, 8, 8, 2)),
+            (Flatten(), (3, 4, 4, 2)),
         ],
     )
     def test_backward_restores_input_shape(self, layer, in_shape):

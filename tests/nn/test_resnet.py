@@ -10,24 +10,24 @@ from repro.nn.resnet import BasicBlock, Bottleneck, ResNet, resnet18, resnet20, 
 class TestBlocks:
     def test_basic_block_preserves_shape_stride1(self):
         block = BasicBlock(4, 4)
-        x = np.zeros((2, 4, 8, 8), dtype=np.float32)
-        assert block(x).shape == (2, 4, 8, 8)
+        x = np.zeros((4, 8, 8, 2), dtype=np.float32)
+        assert block(x).shape == (4, 8, 8, 2)
 
     def test_basic_block_downsamples_stride2(self):
         block = BasicBlock(4, 8, stride=2)
-        x = np.zeros((2, 4, 8, 8), dtype=np.float32)
-        assert block(x).shape == (2, 8, 4, 4)
+        x = np.zeros((4, 8, 8, 2), dtype=np.float32)
+        assert block(x).shape == (8, 4, 4, 2)
 
     def test_bottleneck_expands_channels(self):
         block = Bottleneck(4, 4)
-        x = np.zeros((2, 4, 8, 8), dtype=np.float32)
-        assert block(x).shape == (2, 16, 8, 8)
+        x = np.zeros((4, 8, 8, 2), dtype=np.float32)
+        assert block(x).shape == (16, 8, 8, 2)
 
     def test_basic_block_backward_gradcheck(self):
         rng = np.random.default_rng(0)
         block = BasicBlock(3, 6, stride=2, rng=rng)
         block.train()
-        x = rng.normal(size=(4, 3, 8, 8)).astype(np.float64)
+        x = rng.normal(size=(3, 8, 8, 4)).astype(np.float64)
         out = block(x)
         g = rng.normal(size=out.shape)
         block.zero_grad()
@@ -46,7 +46,7 @@ class TestBlocks:
         rng = np.random.default_rng(1)
         block = Bottleneck(4, 2, rng=rng)
         block.train()
-        x = rng.normal(size=(2, 4, 4, 4)).astype(np.float32)
+        x = rng.normal(size=(4, 4, 4, 2)).astype(np.float32)
         out = block(x)
         grad = block.backward(np.ones_like(out))
         assert grad.shape == x.shape

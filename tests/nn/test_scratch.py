@@ -140,7 +140,7 @@ class TestProcessWidePool:
         previous = set_scratch_pool(pool)
         try:
             conv = Conv2d(3, 8, 3, padding=1, rng=np.random.default_rng(0))
-            x = np.random.default_rng(1).normal(size=(4, 3, 8, 8)).astype(np.float32)
+            x = np.random.default_rng(1).normal(size=(3, 8, 8, 4)).astype(np.float32)
             # In train mode each forward leases its buffer *before*
             # releasing the cached one, so steady state is two buffers
             # in rotation — reached by the second forward.

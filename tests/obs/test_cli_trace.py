@@ -1,7 +1,13 @@
 """CLI surface: --trace flags produce traces repro.cli report can read."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+from repro import cli
 from repro.cli import main
 
 
@@ -98,3 +104,32 @@ class TestReportErrors:
         empty.write_text('{"kind": "meta", "schema": 1, "run": "idle"}\n')
         assert main(["report", str(empty)]) == 0
         assert "no spans" in capsys.readouterr().out
+
+    def test_closed_stdout_exits_quietly(self, tmp_path, capsys):
+        """``report TRACE | head``: a reader that hangs up early is no crash."""
+        trace_path = tmp_path / "system.jsonl"
+        assert main(["system", "--dataset", "cifar10", "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "report", str(trace_path)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 141  # 128 + SIGPIPE, as for any Unix filter
+
+    def test_other_broken_pipes_still_raise(self, monkeypatch):
+        """Only a hung-up stdout is quiet; any other broken pipe is an error."""
+        def broken(args):
+            raise BrokenPipeError("worker pipe")
+
+        monkeypatch.setattr(cli, "_cmd_info", broken)
+        with pytest.raises(BrokenPipeError, match="worker pipe"):
+            main(["info"])
