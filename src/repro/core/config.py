@@ -85,9 +85,6 @@ class NeSSAConfig:
         accounting charges against on-chip memory — ``"float32"`` (the
         FPGA kernel's fp32 tile), ``"float64"`` (host-side block-tiled
         path), or ``"int8"`` (quantized-similarity kernel).
-    proxy_cache_entries : LRU capacity of the proxy-reuse cache (skips
-        the selection forward pass when the quantized feedback weights
-        and candidate pool are unchanged); 0 disables caching.
     quantized_scoring : ``"int8"`` runs the similarity stage through the
         quantized scoring engine (:mod:`repro.selection.qscore`) — int8
         proxies with per-class symmetric scales, integer-GEMM distances
@@ -131,7 +128,6 @@ class NeSSAConfig:
 
     workers: int = 1
     similarity_precision: str = "float32"
-    proxy_cache_entries: int = 4
     quantized_scoring: str = "off"
 
     dynamic_subset: bool = False
@@ -163,8 +159,6 @@ class NeSSAConfig:
                 "similarity_precision must be one of "
                 f"{sorted(_SIMILARITY_DTYPE_BYTES)}"
             )
-        if self.proxy_cache_entries < 0:
-            raise ValueError("proxy_cache_entries must be >= 0")
         if self.quantized_scoring not in ("off", "int8"):
             raise ValueError("quantized_scoring must be 'off' or 'int8'")
         if self.stale_feedback not in ("stale", "off"):

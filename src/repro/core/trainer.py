@@ -161,11 +161,7 @@ class SubsetTrainer(_BaseTrainer):
                         result = self.selector.select(
                             train_set, self.subset_fraction, self.model
                         )
-                        sel.set(
-                            pairwise_bytes=int(result.pairwise_bytes),
-                            proxy_flops=float(result.proxy_flops),
-                            selected=len(result.positions),
-                        )
+                        sel.set(**result.span_attrs())
                     selection_s = time.perf_counter() - select_t0
                     weights = result.weights if result.weights.std() > 0 else None
                     subset = Subset(train_set, result.positions, weights=weights)
@@ -284,12 +280,7 @@ class NeSSATrainer(_BaseTrainer):
                         result = self.selector.select(
                             train_set, fraction, self.feedback.selection_model
                         )
-                        sel.set(
-                            pairwise_bytes=int(result.pairwise_bytes),
-                            proxy_flops=float(result.proxy_flops),
-                            selected=len(result.positions),
-                            fraction=float(fraction),
-                        )
+                        sel.set(**result.span_attrs(), fraction=float(fraction))
                     selection_s = time.perf_counter() - select_t0
                     weights = result.weights if result.weights.std() > 0 else None
                     subset = Subset(train_set, result.positions, weights=weights)
@@ -397,7 +388,7 @@ class NeSSATrainer(_BaseTrainer):
                     mean_loss, per_sample, ids = self._train_one_epoch(loader)
 
                     # The join point: the worker reads the feedback
-                    # replica and proxy cache, so it must land before the
+                    # replica and embedding table, so it must land before the
                     # sync below mutates them.  Whatever the training
                     # epoch failed to hide shows up as selection time.
                     selection_s += round_.join()

@@ -147,14 +147,6 @@ DEFAULT_CARVEOUTS = (
         "configuration label on chunk_select: whether the executor "
         "fanned out, implied by --workers",
     ),
-    CarveOut(
-        "metric",
-        "proxy_cache.hits",
-        "counters appear in the snapshot only once incremented: a "
-        "serial all-miss run never records a hit, while overlap's "
-        "stale scoring reuses cached proxies (miss *counts* still "
-        "value-compare whenever both sides record them)",
-    ),
 )
 
 _EMPTY_SNAPSHOT = {"counters": {}, "gauges": {}, "timers": {}}

@@ -66,11 +66,11 @@ METRIC_TABLE: dict[str, tuple[str, str]] = {
     ),
     "proxy_cache.hits": (
         "counter",
-        "Gradient-proxy cache hits",
+        "Head-only proxy rounds served from the embedding table",
     ),
     "proxy_cache.misses": (
         "counter",
-        "Gradient-proxy cache misses",
+        "Proxy rounds that refreshed the embedding table with a full forward",
     ),
     "qscore.block_hits": (
         "counter",

@@ -151,6 +151,7 @@ def render_report(trace: dict) -> str:
                 f"{mem['peak_bytes']:>14,d}"
             )
 
+    lines.extend(_render_quality_lines(trace["spans"]))
     metrics = trace.get("metrics")
     lines.extend(_render_pipeline_lines(metrics))
     if metrics and metrics.get("counters"):
@@ -218,4 +219,33 @@ def _render_pipeline_lines(metrics: dict | None) -> list[str]:
         )
     if lines:
         lines.insert(0, "")
+    return lines
+
+
+def _render_quality_lines(spans: list[dict]) -> list[str]:
+    """Per-round selection quality, from the rounds' span attributes.
+
+    Serial rounds record it on ``selection_round``, overlapped ones on
+    ``async_selection``; selectors without telemetry record neither.
+    """
+    rounds = [
+        span["attrs"] for span in spans
+        if span["name"] in ("selection_round", "async_selection")
+        and "fl_value" in (span.get("attrs") or {})
+    ]
+    if not rounds:
+        return []
+    lines = [
+        "",
+        f"selection quality: {len(rounds)} round(s)",
+        f"  {'round':>5s} {'fl_value':>12s} {'overlap_prev':>12s} "
+        f"{'class_share':>17s}",
+    ]
+    for i, attrs in enumerate(rounds):
+        overlap = attrs.get("overlap_prev")
+        overlap_col = f"{overlap:>12.3f}" if overlap is not None else f"{'-':>12s}"
+        lines.append(
+            f"  {i:>5d} {attrs['fl_value']:>12.4f} {overlap_col} "
+            f"{attrs['class_share_min']:>8.3f}-{attrs['class_share_max']:<8.3f}"
+        )
     return lines

@@ -2,10 +2,9 @@
 
 The paper's FPGA realizes selection as spatially parallel compute units;
 this package is the CPU analogue — see DESIGN.md §4 for the executor,
-shared-memory layout, cache keying, and determinism strategy.
+shared-memory layout and determinism strategy.
 """
 
-from repro.parallel.cache import ProxyCache, model_weights_digest
 from repro.parallel.engine import (
     SelectionExecutor,
     SelectionSpec,
@@ -20,8 +19,6 @@ from repro.parallel.store import (
 )
 
 __all__ = [
-    "ProxyCache",
-    "model_weights_digest",
     "SelectionExecutor",
     "SelectionSpec",
     "default_workers",

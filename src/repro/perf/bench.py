@@ -606,55 +606,6 @@ def _bench_store_attach(size: str) -> BenchCase:
     return BenchCase(run=run, params={"n": n, "d": d})
 
 
-def _proxy_cache_inputs(size: str):
-    from repro.nn.resnet import resnet20
-
-    n = 256 if size == "default" else 32
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(n, 3, 8, 8)).astype(np.float32)
-    y = rng.integers(0, 4, size=n)
-    ids = np.arange(n, dtype=np.int64)
-    model = resnet20(num_classes=4, width=4, seed=9)
-    return model, x, y, ids, {"n": n}
-
-
-@register_bench("parallel.proxy_cache_hit", "parallel")
-def _bench_proxy_cache_hit(size: str) -> BenchCase:
-    """Steady-state hit: unchanged weights + pool skip the forward pass."""
-    from repro.parallel.cache import ProxyCache
-    from repro.selection.gradients import compute_gradient_proxies
-
-    model, x, y, ids, params = _proxy_cache_inputs(size)
-    cache = ProxyCache(max_entries=2)
-    compute_gradient_proxies(model, x, y, ids=ids, cache=cache)  # warm
-
-    return BenchCase(
-        run=lambda: compute_gradient_proxies(model, x, y, ids=ids, cache=cache),
-        seed_run=lambda: compute_gradient_proxies(model, x, y, ids=ids),
-        params=params,
-    )
-
-
-@register_bench("parallel.proxy_cache_miss", "parallel")
-def _bench_proxy_cache_miss(size: str) -> BenchCase:
-    """Worst case: the pool alternates every round, so every lookup misses."""
-    from repro.parallel.cache import ProxyCache
-    from repro.selection.gradients import compute_gradient_proxies
-
-    model, x, y, ids, params = _proxy_cache_inputs(size)
-    cache = ProxyCache(max_entries=1)
-    pools = [ids, ids[::-1].copy()]
-    state = {"round": 0}
-
-    def run():
-        state["round"] += 1
-        return compute_gradient_proxies(
-            model, x, y, ids=pools[state["round"] % 2], cache=cache
-        )
-
-    return BenchCase(run=run, params=params)
-
-
 # -- pipeline group: end-to-end epoch wall-clock ------------------------------
 #
 # Unlike the kernel groups these time whole training loops, so the

@@ -12,7 +12,7 @@ staleness.
 worker never reads the mutable loss history) and runs
 ``NeSSASelector.select`` on a daemon thread; :meth:`join` blocks until
 the round completes — the trainer calls it *before* touching any state
-the worker reads (the quantized feedback replica, the proxy cache) — and
+the worker reads (the quantized feedback replica, the embedding table) — and
 :meth:`consume` hands the finished result to the selection epoch.
 
 Tracing: the selector's spans are thread-local-muted on the worker
@@ -109,7 +109,7 @@ class AsyncSelectionRound:
         failed to hide.  Forwards the round's ``async_selection`` span
         and updates the ``overlap.efficiency`` gauge.  Must be called
         before the trainer mutates state the worker reads (feedback
-        replica, proxy cache, loss history).
+        replica, embedding table, loss history).
         """
         thread = self._thread
         if thread is None:
@@ -129,7 +129,6 @@ class AsyncSelectionRound:
         reg.timer("overlap.join_wait").observe(max(0.0, wait))
         reg.timer("overlap.round_duration").observe(max(0.0, dur))
         reg.gauge("overlap.efficiency").set(efficiency)
-        result = self._result
         obs.add_completed(
             "async_selection",
             start=self._launch_t0,
@@ -137,9 +136,7 @@ class AsyncSelectionRound:
             for_epoch=self._for_epoch,
             wait_s=wait,
             hidden_s=hidden,
-            selected=0 if result is None else len(result.positions),
-            pairwise_bytes=0 if result is None else int(result.pairwise_bytes),
-            proxy_flops=0.0 if result is None else float(result.proxy_flops),
+            **self._result.span_attrs(),
         )
         return wait
 
@@ -160,12 +157,7 @@ class AsyncSelectionRound:
             return result
         with obs.span("selection_round", epoch=epoch) as sel:
             result = self.selector.select(dataset, fraction, model)
-            sel.set(
-                pairwise_bytes=int(result.pairwise_bytes),
-                proxy_flops=float(result.proxy_flops),
-                selected=len(result.positions),
-                fraction=float(fraction),
-            )
+            sel.set(**result.span_attrs(), fraction=float(fraction))
         return result
 
     def close(self) -> None:

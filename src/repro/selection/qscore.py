@@ -48,7 +48,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.nn.quantize import quantize_tensor
-from repro.selection.facility import lazy_greedy, medoid_weights, stochastic_greedy
+from repro.selection.facility import (
+    facility_location_value,
+    lazy_greedy,
+    medoid_weights,
+    stochastic_greedy,
+)
 from repro.selection.pairwise import auto_block_size
 
 __all__ = [
@@ -314,8 +319,8 @@ class SimilarityBlockCache:
 
     def get_selection(
         self, digest: str, k: int, method: str
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Memoized ``(indices, weights)`` for a digest, or ``None``.
+    ) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """Memoized ``(indices, weights, fl_value)`` for a digest, or ``None``.
 
         Only deterministic maximizers may be memoized (the caller gates
         on ``method == "lazy"``); copies are returned so callers can
@@ -328,7 +333,7 @@ class SimilarityBlockCache:
                 self.select_misses += 1
                 return None
             self.select_hits += 1
-            return cached[0].copy(), cached[1].copy()
+            return cached[0].copy(), cached[1].copy(), cached[2]
 
     def put_selection(
         self,
@@ -337,11 +342,12 @@ class SimilarityBlockCache:
         method: str,
         sel: np.ndarray,
         weights: np.ndarray,
+        fl_value: float,
     ) -> None:
         with self._lock:
             entry = self._entries.get(digest)
             if entry is not None:
-                entry.selections[(k, method)] = (sel.copy(), weights.copy())
+                entry.selections[(k, method)] = (sel.copy(), weights.copy(), fl_value)
 
     @property
     def bytes_cached(self) -> int:
@@ -408,8 +414,9 @@ def select_class_quantized(
 
     Returns ``(local_indices, weights, pairwise_bytes, stats)``; ``stats``
     reports the digest, whether the block / greedy result were cache
-    hits, the pairwise MACs actually executed (0 on a hit) and the
-    block's byte size.
+    hits, the pairwise MACs actually executed (0 on a hit), the
+    block's byte size and ``fl_value``, the facility-location value of
+    the pick under the dequantized similarity.
     """
     if similarity_dtype_bytes < 1:
         raise ValueError("similarity_dtype_bytes must be >= 1")
@@ -419,7 +426,7 @@ def select_class_quantized(
     if n == 0:
         empty_stats = {
             "digest": None, "cache_hit": False, "select_hit": False,
-            "macs": 0, "sim_bytes": 0,
+            "macs": 0, "sim_bytes": 0, "fl_value": 0.0,
         }
         return (  # lint: allow-upcast(empty weights vector honors medoid_weights' float64 contract; no quantized buffer involved)
             np.zeros(0, np.int64), np.zeros(0, np.float64), 0, empty_stats
@@ -436,10 +443,11 @@ def select_class_quantized(
     if cache_hit and method == "lazy":
         memo = cache.get_selection(digest, k, method)
         if memo is not None:
-            sel, weights = memo
+            sel, weights, fl_value = memo
             stats = {
                 "digest": digest, "cache_hit": True, "select_hit": True,
                 "macs": 0, "sim_bytes": int(similarity.nbytes),
+                "fl_value": fl_value,
             }
             return sel, weights, pairwise_bytes, stats
     if similarity is None:
@@ -456,13 +464,15 @@ def select_class_quantized(
     else:
         sel = stochastic_greedy(similarity, k, epsilon=epsilon, rng=rng, validate=False)
     weights = medoid_weights(similarity, sel)
+    fl_value = facility_location_value(similarity, sel)
     if method == "lazy":
-        cache.put_selection(digest, k, method, sel, weights)
+        cache.put_selection(digest, k, method, sel, weights, fl_value)
     stats = {
         "digest": digest,
         "cache_hit": cache_hit,
         "select_hit": select_hit,
         "macs": macs,
         "sim_bytes": int(similarity.nbytes),
+        "fl_value": fl_value,
     }
     return sel, weights, pairwise_bytes, stats
