@@ -95,13 +95,13 @@ def plan_chunk_takes(chunk_sizes: list[int], k: int, chunk_select: int) -> list[
 def partitioned_select(
     vectors: np.ndarray,
     k: int,
-    select_fn: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray, int]],
+    select_fn: Callable[[np.ndarray, int], tuple],
     rng: np.random.Generator,
     chunk_select: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Select ``k`` vectors via random chunks of the candidate pool.
 
-    ``select_fn(chunk_vectors, k_chunk)`` must return
+    ``select_fn(chunk_vectors, k_chunk)`` must return a tuple starting
     ``(local_indices, weights, pairwise_bytes)`` — e.g.
     :func:`repro.selection.craig.craig_select_class` partially applied.
     ``chunk_select`` is the per-chunk selection count *m* (defaults to the
@@ -129,7 +129,7 @@ def partitioned_select(
     for chunk, take in zip(chunks, takes):
         if take <= 0:
             continue
-        sel, w, nbytes = select_fn(vectors[chunk], take)
+        sel, w, nbytes = select_fn(vectors[chunk], take)[:3]
         indices.append(chunk[sel])
         weights.append(w)
         max_bytes = max(max_bytes, nbytes)

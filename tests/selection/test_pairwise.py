@@ -128,7 +128,7 @@ class TestCraigPipelineEquivalence:
 
     def test_lazy_method_matches_seed_pipeline(self):
         v = random_vectors(150, 8, seed=6)
-        sel, w, nbytes = craig_select_class(v, 20)
+        sel, w, nbytes, _ = craig_select_class(v, 20)
         ref_sel, ref_w = self.seed_pipeline(v, 20)
         np.testing.assert_array_equal(sel, ref_sel)
         np.testing.assert_array_equal(w, ref_w)
@@ -136,7 +136,7 @@ class TestCraigPipelineEquivalence:
 
     def test_blocked_matches_seed_pipeline(self):
         v = random_vectors(90, 6, seed=7)
-        sel, w, _ = craig_select_class(v, 12, block_size=32)
+        sel, w, _, _ = craig_select_class(v, 12, block_size=32)
         ref_sel, ref_w = self.seed_pipeline(v, 12)
         np.testing.assert_array_equal(sel, ref_sel)
         np.testing.assert_array_equal(w, ref_w)
@@ -147,8 +147,8 @@ class TestCraigPipelineEquivalence:
         from repro.selection.facility import facility_location_value
 
         v = random_vectors(120, 8, seed=8)
-        sel64, _, _ = craig_select_class(v, 15)
-        sel32, _, _ = craig_select_class(v, 15, precision="float32")
+        sel64, _, _, _ = craig_select_class(v, 15)
+        sel32, _, _, _ = craig_select_class(v, 15, precision="float32")
         s = similarity_from_distances(naive_pairwise_distances(v))
         v64 = facility_location_value(s, sel64)
         v32 = facility_location_value(s, sel32)

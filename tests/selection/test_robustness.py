@@ -15,7 +15,7 @@ class TestDegenerateGeometry:
     def test_all_identical_vectors(self):
         """Zero pairwise distance: any k medoids are optimal; no crash."""
         v = np.ones((20, 4))
-        sel, w, _ = craig_select_class(v, 5)
+        sel, w, _, _ = craig_select_class(v, 5)
         assert len(sel) == 5
         assert w.sum() == pytest.approx(20)
 
@@ -26,7 +26,7 @@ class TestDegenerateGeometry:
 
     def test_single_point(self):
         v = np.array([[1.0, 2.0]])
-        sel, w, _ = craig_select_class(v, 1)
+        sel, w, _, _ = craig_select_class(v, 1)
         assert list(sel) == [0]
         assert w[0] == pytest.approx(1.0)
 
@@ -34,7 +34,7 @@ class TestDegenerateGeometry:
         a = np.zeros((10, 2))
         b = np.full((10, 2), 1000.0)
         v = np.vstack([a, b])
-        sel, w, _ = craig_select_class(v, 2)
+        sel, w, _, _ = craig_select_class(v, 2)
         # One medoid per blob, each weighted 10.
         picked_blobs = {int(i) // 10 for i in sel}
         assert picked_blobs == {0, 1}
@@ -80,17 +80,17 @@ class TestClassImbalance:
 class TestNumericEdges:
     def test_huge_magnitude_vectors(self):
         v = np.random.default_rng(4).normal(size=(30, 4)) * 1e8
-        sel, w, _ = craig_select_class(v, 6)
+        sel, w, _, _ = craig_select_class(v, 6)
         assert len(sel) == 6
         assert np.isfinite(w).all()
 
     def test_tiny_magnitude_vectors(self):
         v = np.random.default_rng(5).normal(size=(30, 4)) * 1e-8
-        sel, w, _ = craig_select_class(v, 6)
+        sel, w, _, _ = craig_select_class(v, 6)
         assert len(sel) == 6
         assert w.sum() == pytest.approx(30)
 
     def test_high_dimensional_proxies(self):
         v = np.random.default_rng(6).normal(size=(40, 200))
-        sel, _, _ = craig_select_class(v, 8)
+        sel, _, _, _ = craig_select_class(v, 8)
         assert len(sel) == 8

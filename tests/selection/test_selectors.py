@@ -54,19 +54,19 @@ class TestCraigSelectClass:
     def test_returns_k_items_with_weights(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=(40, 6))
-        sel, w, nbytes = craig_select_class(v, 10)
+        sel, w, nbytes, _ = craig_select_class(v, 10)
         assert len(sel) == 10
         assert w.sum() == pytest.approx(40)
         assert nbytes == 40 * 40 * 4
 
     def test_empty_input(self):
-        sel, w, nbytes = craig_select_class(np.zeros((0, 4)), 3)
+        sel, w, nbytes, _ = craig_select_class(np.zeros((0, 4)), 3)
         assert sel.size == 0 and w.size == 0 and nbytes == 0
 
     def test_stochastic_method(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=(40, 6))
-        sel, w, _ = craig_select_class(v, 8, method="stochastic", rng=np.random.default_rng(2))
+        sel, w, _, _ = craig_select_class(v, 8, method="stochastic", rng=np.random.default_rng(2))
         assert len(sel) == 8
         assert w.sum() == pytest.approx(40)
 
