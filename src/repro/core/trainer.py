@@ -1,20 +1,36 @@
-"""Trainers: full-data, generic subset-selection, and the NeSSA loop.
+"""Trainers: one epoch loop for full-data, CPU-baseline and NeSSA training.
 
-:class:`NeSSATrainer` implements the five steps of paper Figure 3:
+Every method runs the outer loop of paper Figure 3 in
+:meth:`_BaseTrainer.train`:
 
 1. (storage) candidates live on the simulated SmartSSD — the trainer is
    pure ML; byte/time accounting happens in :mod:`repro.pipeline.system`
    from the counters recorded here;
-2. run the selection model (quantized replica) and pick the subset;
+2. pick the epoch's weighted subset from the method's subset source;
 3. train the target model on the weighted subset;
-4. feed back quantized weights + per-sample losses, update the candidate
-   pool (subset biasing) and the subset size (dynamic schedule);
+4. run the method's after-train hook — for NeSSA, feed back quantized
+   weights + per-sample losses and update the subset size;
 5. repeat for all epochs.
 
-:class:`SubsetTrainer` runs the same outer loop for the CPU baselines
-(CRAIG, k-centers, random) — selection with the *live* model, no feedback
-quantization, no biasing — so Table 3/Figure 4 comparisons are
-apples-to-apples.
+A method supplies only what differs:
+
+- :class:`FullTrainer` has no subset source: it trains on the whole set
+  every epoch (the paper's 'Goal' column);
+- :class:`SubsetTrainer` selects with the *live* model (CRAIG, k-centers,
+  random) — no feedback quantization, no biasing — so Table 3/Figure 4
+  comparisons are apples-to-apples;
+- :class:`NeSSATrainer` selects with the quantized feedback replica and
+  adds the run-setup feedback sync, subset biasing, the per-epoch feedback
+  sync, the dynamic size schedule and the prefetching loader.
+
+Overlapped NeSSA (``overlap=True, stale_feedback="stale"``) launches the
+next round on an :class:`~repro.pipeline.overlap.AsyncSelectionRound`
+before training and joins it before the after-train hook; the next
+selection epoch consumes its result.  Every other configuration never
+launches and selects synchronously under the loop's one
+``selection_round`` span, so serial and strict-overlap runs are the same
+code path.  Each epoch's wall time and selection time (join wait
+included) are measured once, in the loop.
 """
 
 from __future__ import annotations
@@ -42,12 +58,23 @@ __all__ = ["FullTrainer", "SubsetTrainer", "NeSSATrainer"]
 
 
 class _BaseTrainer:
-    """Shared epoch machinery for all trainers."""
+    """The epoch loop shared by every method.
+
+    Subclasses set ``selector`` (the subset source; None trains on the
+    whole set), ``subset_fraction`` and ``selection_model``, and override
+    the ``_before_train`` / ``_before_epoch`` / ``_after_train`` hooks.
+    """
 
     def __init__(self, model: Module, recipe: TrainRecipe, seed: int = 0):
         self.model = model
         self.recipe = recipe
         self.seed = seed
+        self.selector = None
+        self.select_every = 1
+        # Launch the next round during training (stale-feedback overlap).
+        self.select_ahead = False
+        self.prefetch_depth = 0
+        self._loader_pool: BufferPool | None = None
         self.criterion = CrossEntropyLoss()
         self.optimizer = SGD(
             model.parameters(),
@@ -59,6 +86,41 @@ class _BaseTrainer:
         )
         self.scheduler = MultiStepLR(
             self.optimizer, recipe.lr_milestones, recipe.lr_gamma_div
+        )
+
+    @property
+    def selection_model(self) -> Module:
+        """The model the subset source scores candidates with."""
+        return self.model
+
+    def _before_train(self) -> dict:
+        """Run setup; returns the ``run_setup`` span's attributes."""
+        return {}
+
+    def _before_epoch(self, train_set: Dataset, epoch: int) -> int:
+        """Epoch setup before selection; returns the samples dropped."""
+        return 0
+
+    def _after_train(
+        self, epoch: int, mean_loss: float, per_sample: np.ndarray, ids: np.ndarray
+    ) -> int:
+        """Work after the training pass; returns the feedback bytes shipped."""
+        return 0
+
+    def _make_loader(self, dataset: Dataset, epoch: int) -> DataLoader:
+        """The epoch's loader: prefetching when configured, else serial.
+
+        Both paths derive batch order from ``seed + epoch`` via the same
+        helper, so the streams are bit-identical at any depth.
+        """
+        if self.prefetch_depth > 0:
+            return PrefetchingDataLoader(
+                dataset, self.recipe.batch_size, shuffle=True,
+                seed=self.seed + epoch,
+                depth=self.prefetch_depth, pool=self._loader_pool,
+            )
+        return DataLoader(
+            dataset, self.recipe.batch_size, shuffle=True, seed=self.seed + epoch
         )
 
     def _train_one_epoch(self, loader: DataLoader) -> tuple[float, np.ndarray, np.ndarray]:
@@ -87,37 +149,93 @@ class _BaseTrainer:
         mean_loss = total_loss / max(1, total_n)
         return mean_loss, np.concatenate(losses), np.concatenate(ids)
 
+    def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
+        # Imported here: repro.pipeline's package init imports this module.
+        from repro.pipeline.overlap import AsyncSelectionRound
+
+        if self.select_every < 1:
+            raise ValueError("select_every must be >= 1")
+        epochs = self.recipe.epochs
+        history = TrainingHistory(method=self.name)
+        with obs.span("run_setup", method=self.name) as setup:
+            setup.set(**self._before_train())
+
+        subset = train_set
+        with AsyncSelectionRound(self.selector) as round_:
+            for epoch in range(epochs):
+                epoch_t0 = time.perf_counter()
+                selection_s = 0.0
+                result = None
+                with obs.span("epoch", epoch=epoch, method=self.name) as ep:
+                    dropped = self._before_epoch(train_set, epoch)
+
+                    if self.selector is not None and epoch % self.select_every == 0:
+                        select_t0 = time.perf_counter()
+                        result = round_.consume()
+                        if result is None:
+                            fraction = self.subset_fraction
+                            with obs.span("selection_round", epoch=epoch) as sel:
+                                result = self.selector.select(
+                                    train_set, fraction, self.selection_model
+                                )
+                                sel.set(**result.span_attrs(), fraction=float(fraction))
+                        selection_s = time.perf_counter() - select_t0
+                        weights = result.weights if result.weights.std() > 0 else None
+                        subset = Subset(train_set, result.positions, weights=weights)
+
+                    next_sel = epoch + 1
+                    if (
+                        self.select_ahead
+                        and next_sel < epochs
+                        and next_sel % self.select_every == 0
+                    ):
+                        round_.launch(
+                            train_set, self.subset_fraction, self.selection_model,
+                            next_sel,
+                        )
+
+                    loader = self._make_loader(subset, epoch)
+                    mean_loss, per_sample, ids = self._train_one_epoch(loader)
+
+                    # The join point: the worker reads the feedback replica
+                    # and embedding table, so it must land before the
+                    # after-train hook mutates them.  Whatever the training
+                    # epoch failed to hide shows up as selection time.
+                    if round_.in_flight:
+                        selection_s += round_.join()
+
+                    feedback_bytes = self._after_train(epoch, mean_loss, per_sample, ids)
+                    acc = evaluate_accuracy(self.model, test_set)
+                    subset_fraction = len(subset) / len(train_set)
+                    ran = result is not None
+                    ep.set(train_loss=mean_loss, test_accuracy=acc,
+                           subset_size=len(subset), subset_fraction=subset_fraction,
+                           dropped_samples=dropped)
+                history.append(
+                    EpochRecord(
+                        epoch=epoch,
+                        train_loss=mean_loss,
+                        test_accuracy=acc,
+                        subset_size=len(subset),
+                        subset_fraction=subset_fraction,
+                        samples_trained=len(subset),
+                        selection_ran=ran,
+                        selection_proxy_flops=result.proxy_flops if ran else 0.0,
+                        selection_pairwise_bytes=result.pairwise_bytes if ran else 0,
+                        feedback_bytes=feedback_bytes,
+                        dropped_samples=dropped,
+                        lr=self.scheduler.current_lr,
+                        wall_time_s=time.perf_counter() - epoch_t0,
+                        selection_time_s=selection_s,
+                    )
+                )
+        return history
+
 
 class FullTrainer(_BaseTrainer):
     """Train on the entire dataset every epoch — the paper's 'Goal' column."""
 
     name = "full"
-
-    def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
-        history = TrainingHistory(method=self.name)
-        loader = DataLoader(
-            train_set, self.recipe.batch_size, shuffle=True, seed=self.seed
-        )
-        for epoch in range(self.recipe.epochs):
-            epoch_t0 = time.perf_counter()
-            with obs.span("epoch", epoch=epoch, method=self.name) as ep:
-                mean_loss, _, _ = self._train_one_epoch(loader)
-                acc = evaluate_accuracy(self.model, test_set)
-                ep.set(train_loss=mean_loss, test_accuracy=acc,
-                       samples_trained=len(train_set))
-            history.append(
-                EpochRecord(
-                    epoch=epoch,
-                    train_loss=mean_loss,
-                    test_accuracy=acc,
-                    subset_size=len(train_set),
-                    subset_fraction=1.0,
-                    samples_trained=len(train_set),
-                    lr=self.scheduler.current_lr,
-                    wall_time_s=time.perf_counter() - epoch_t0,
-                )
-            )
-        return history
 
 
 class SubsetTrainer(_BaseTrainer):
@@ -142,58 +260,8 @@ class SubsetTrainer(_BaseTrainer):
             raise ValueError("subset_fraction must be in (0, 1]")
         self.selector = selector
         self.subset_fraction = subset_fraction
-        self.select_every = max(1, select_every)
+        self.select_every = select_every
         self.name = getattr(selector, "name", "subset")
-
-    def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
-        history = TrainingHistory(method=self.name)
-        subset: Subset | None = None
-        for epoch in range(self.recipe.epochs):
-            epoch_t0 = time.perf_counter()
-            selection_s = 0.0
-            with obs.span("epoch", epoch=epoch, method=self.name) as ep:
-                selection_ran = False
-                proxy_flops = 0.0
-                pairwise = 0
-                if subset is None or epoch % self.select_every == 0:
-                    select_t0 = time.perf_counter()
-                    with obs.span("selection_round", epoch=epoch) as sel:
-                        result = self.selector.select(
-                            train_set, self.subset_fraction, self.model
-                        )
-                        sel.set(**result.span_attrs())
-                    selection_s = time.perf_counter() - select_t0
-                    weights = result.weights if result.weights.std() > 0 else None
-                    subset = Subset(train_set, result.positions, weights=weights)
-                    selection_ran = True
-                    proxy_flops = result.proxy_flops
-                    pairwise = result.pairwise_bytes
-
-                loader = DataLoader(
-                    subset, self.recipe.batch_size, shuffle=True, seed=self.seed + epoch
-                )
-                mean_loss, _, _ = self._train_one_epoch(loader)
-                acc = evaluate_accuracy(self.model, test_set)
-                ep.set(train_loss=mean_loss, test_accuracy=acc,
-                       subset_size=len(subset),
-                       subset_fraction=len(subset) / len(train_set))
-            history.append(
-                EpochRecord(
-                    epoch=epoch,
-                    train_loss=mean_loss,
-                    test_accuracy=acc,
-                    subset_size=len(subset),
-                    subset_fraction=len(subset) / len(train_set),
-                    samples_trained=len(subset),
-                    selection_ran=selection_ran,
-                    selection_proxy_flops=proxy_flops,
-                    selection_pairwise_bytes=pairwise,
-                    lr=self.scheduler.current_lr,
-                    wall_time_s=time.perf_counter() - epoch_t0,
-                    selection_time_s=selection_s,
-                )
-            )
-        return history
 
 
 class NeSSATrainer(_BaseTrainer):
@@ -214,6 +282,13 @@ class NeSSATrainer(_BaseTrainer):
     ):
         super().__init__(model, recipe, seed=config.seed)
         self.config = config
+        self.select_every = config.select_every
+        self.select_ahead = config.overlap and config.stale_feedback == "stale"
+        self.prefetch_depth = config.prefetch_depth
+        if config.prefetch_depth > 0:
+            # One pool for the whole run so epoch 2+ serves every batch
+            # buffer from the free list (depth queued + consumed + filling).
+            self._loader_pool = BufferPool(max_free_per_key=config.prefetch_depth + 2)
         chunk_select = config.partition_chunk_select or recipe.batch_size
         self.selector = NeSSASelector(config, chunk_select=chunk_select)
         self.feedback = FeedbackLoop(
@@ -226,200 +301,32 @@ class NeSSATrainer(_BaseTrainer):
             shrink=config.dynamic_shrink,
             enabled=config.dynamic_subset,
         )
-        # One pool for the whole run so epoch 2+ serves every batch
-        # buffer from the free list (depth queued + consumed + filling).
-        self._loader_pool = (
-            BufferPool(max_free_per_key=config.prefetch_depth + 2)
-            if config.prefetch_depth > 0
-            else None
-        )
 
-    def _make_loader(self, subset: Subset, epoch: int) -> DataLoader:
-        """The epoch's loader: prefetching when configured, else serial.
+    @property
+    def subset_fraction(self) -> float:
+        return self.schedule.fraction
 
-        Both paths derive batch order from ``seed + epoch`` via the same
-        helper, so the streams are bit-identical at any depth.
-        """
-        if self.config.prefetch_depth > 0:
-            return PrefetchingDataLoader(
-                subset, self.recipe.batch_size, shuffle=True,
-                seed=self.config.seed + epoch,
-                depth=self.config.prefetch_depth, pool=self._loader_pool,
-            )
-        return DataLoader(
-            subset, self.recipe.batch_size, shuffle=True,
-            seed=self.config.seed + epoch,
-        )
+    @property
+    def selection_model(self) -> Module:
+        return self.feedback.selection_model
 
-    def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
-        if self.config.overlap:
-            return self._train_overlapped(train_set, test_set)
-        history = TrainingHistory(method=self.name)
+    def _before_train(self) -> dict:
         # Initial feedback sync: the FPGA starts from the initial weights.
         # Recorded as run setup, not as a `feedback_quantize` link span —
         # no EpochRecord carries it, and `repro.cli report` reconciles
         # link bytes against the per-epoch ledger exactly.
-        with obs.span("run_setup", method=self.name) as setup:
+        return {"feedback_sync_bytes": int(self.feedback.sync(self.model))}
+
+    def _before_epoch(self, train_set: Dataset, epoch: int) -> int:
+        return self.selector.maybe_drop_learned(train_set, epoch)
+
+    def _after_train(
+        self, epoch: int, mean_loss: float, per_sample: np.ndarray, ids: np.ndarray
+    ) -> int:
+        self.selector.record_epoch_losses(ids, per_sample)
+        # Step 4 of Figure 3: quantize + ship the updated weights back.
+        with obs.span("feedback_quantize", epoch=epoch) as fb:
             feedback_bytes = self.feedback.sync(self.model)
-            setup.set(feedback_sync_bytes=int(feedback_bytes))
-
-        subset: Subset | None = None
-        fraction = self.schedule.fraction
-        for epoch in range(self.recipe.epochs):
-            epoch_t0 = time.perf_counter()
-            selection_s = 0.0
-            with obs.span("epoch", epoch=epoch, method=self.name) as ep:
-                dropped = self.selector.maybe_drop_learned(train_set, epoch)
-
-                selection_ran = False
-                proxy_flops = 0.0
-                pairwise = 0
-                if subset is None or epoch % self.config.select_every == 0:
-                    select_t0 = time.perf_counter()
-                    with obs.span("selection_round", epoch=epoch) as sel:
-                        result = self.selector.select(
-                            train_set, fraction, self.feedback.selection_model
-                        )
-                        sel.set(**result.span_attrs(), fraction=float(fraction))
-                    selection_s = time.perf_counter() - select_t0
-                    weights = result.weights if result.weights.std() > 0 else None
-                    subset = Subset(train_set, result.positions, weights=weights)
-                    selection_ran = True
-                    proxy_flops = result.proxy_flops
-                    pairwise = result.pairwise_bytes
-
-                loader = self._make_loader(subset, epoch)
-                mean_loss, per_sample, ids = self._train_one_epoch(loader)
-                self.selector.record_epoch_losses(ids, per_sample)
-
-                # Step 4 of Figure 3: quantize + ship the updated weights back.
-                with obs.span("feedback_quantize", epoch=epoch) as fb:
-                    feedback_bytes = self.feedback.sync(self.model)
-                    fb.set(link_bytes=int(feedback_bytes), bits=self.feedback.bits)
-                fraction = self.schedule.update(mean_loss)
-
-                acc = evaluate_accuracy(self.model, test_set)
-                ep.set(train_loss=mean_loss, test_accuracy=acc,
-                       subset_size=len(subset),
-                       subset_fraction=len(subset) / len(train_set),
-                       dropped_samples=dropped)
-            history.append(
-                EpochRecord(
-                    epoch=epoch,
-                    train_loss=mean_loss,
-                    test_accuracy=acc,
-                    subset_size=len(subset),
-                    subset_fraction=len(subset) / len(train_set),
-                    samples_trained=len(subset),
-                    selection_ran=selection_ran,
-                    selection_proxy_flops=proxy_flops,
-                    selection_pairwise_bytes=pairwise,
-                    feedback_bytes=feedback_bytes,
-                    dropped_samples=dropped,
-                    lr=self.scheduler.current_lr,
-                    wall_time_s=time.perf_counter() - epoch_t0,
-                    selection_time_s=selection_s,
-                )
-            )
-        return history
-
-    def _train_overlapped(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
-        """The NeSSA loop with selection hidden behind training.
-
-        Schedule per epoch *e* (``stale_feedback="stale"``):
-
-        1. apply the biasing drop, consume the round launched during
-           epoch *e-1* (epoch 0 selects synchronously);
-        2. launch epoch *e+1*'s round on a worker thread — candidates
-           snapshotted here, scored with the feedback weights synced
-           after epoch *e-1* (stale by one round, as on the device);
-        3. train epoch *e* — the overlap window;
-        4. join the round *before* recording losses / syncing feedback,
-           so the worker never races the state it reads.
-
-        With ``stale_feedback="off"`` the round runs synchronously at
-        step 1 (strict mode) and the loop reproduces :meth:`train`'s
-        serial history and trace bit-for-bit.
-        """
-        # Imported here: repro.pipeline's package init imports this module.
-        from repro.pipeline.overlap import AsyncSelectionRound
-
-        history = TrainingHistory(method=self.name)
-        with obs.span("run_setup", method=self.name) as setup:
-            feedback_bytes = self.feedback.sync(self.model)
-            setup.set(feedback_sync_bytes=int(feedback_bytes))
-
-        stale = self.config.stale_feedback == "stale"
-        subset: Subset | None = None
-        fraction = self.schedule.fraction
-        with AsyncSelectionRound(self.selector, strict=not stale) as round_:
-            for epoch in range(self.recipe.epochs):
-                epoch_t0 = time.perf_counter()
-                selection_s = 0.0
-                with obs.span("epoch", epoch=epoch, method=self.name) as ep:
-                    dropped = self.selector.maybe_drop_learned(train_set, epoch)
-
-                    selection_ran = False
-                    proxy_flops = 0.0
-                    pairwise = 0
-                    if subset is None or epoch % self.config.select_every == 0:
-                        select_t0 = time.perf_counter()
-                        result = round_.consume(
-                            train_set, fraction, self.feedback.selection_model, epoch
-                        )
-                        selection_s = time.perf_counter() - select_t0
-                        weights = result.weights if result.weights.std() > 0 else None
-                        subset = Subset(train_set, result.positions, weights=weights)
-                        selection_ran = True
-                        proxy_flops = result.proxy_flops
-                        pairwise = result.pairwise_bytes
-
-                    next_sel = epoch + 1
-                    if (
-                        stale
-                        and next_sel < self.recipe.epochs
-                        and next_sel % self.config.select_every == 0
-                    ):
-                        round_.launch(
-                            train_set, fraction, self.feedback.selection_model, next_sel
-                        )
-
-                    loader = self._make_loader(subset, epoch)
-                    mean_loss, per_sample, ids = self._train_one_epoch(loader)
-
-                    # The join point: the worker reads the feedback
-                    # replica and embedding table, so it must land before the
-                    # sync below mutates them.  Whatever the training
-                    # epoch failed to hide shows up as selection time.
-                    selection_s += round_.join()
-
-                    self.selector.record_epoch_losses(ids, per_sample)
-                    with obs.span("feedback_quantize", epoch=epoch) as fb:
-                        feedback_bytes = self.feedback.sync(self.model)
-                        fb.set(link_bytes=int(feedback_bytes), bits=self.feedback.bits)
-                    fraction = self.schedule.update(mean_loss)
-
-                    acc = evaluate_accuracy(self.model, test_set)
-                    ep.set(train_loss=mean_loss, test_accuracy=acc,
-                           subset_size=len(subset),
-                           subset_fraction=len(subset) / len(train_set),
-                           dropped_samples=dropped)
-                history.append(
-                    EpochRecord(
-                        epoch=epoch,
-                        train_loss=mean_loss,
-                        test_accuracy=acc,
-                        subset_size=len(subset),
-                        subset_fraction=len(subset) / len(train_set),
-                        samples_trained=len(subset),
-                        selection_ran=selection_ran,
-                        selection_proxy_flops=proxy_flops,
-                        selection_pairwise_bytes=pairwise,
-                        feedback_bytes=feedback_bytes,
-                        dropped_samples=dropped,
-                        lr=self.scheduler.current_lr,
-                        wall_time_s=time.perf_counter() - epoch_t0,
-                        selection_time_s=selection_s,
-                    )
-                )
-        return history
+            fb.set(link_bytes=int(feedback_bytes), bits=self.feedback.bits)
+        self.schedule.update(mean_loss)
+        return feedback_bytes

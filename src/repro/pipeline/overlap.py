@@ -7,13 +7,18 @@ round *t+1* using the quantized weights it received after round *t-1* —
 selection is off the critical path at the price of one round of feedback
 staleness.
 
-:class:`AsyncSelectionRound` reproduces that schedule on the host.
+:class:`AsyncSelectionRound` reproduces that schedule on the host for the
+trainers' shared epoch loop (:mod:`repro.core.trainer`).
 :meth:`launch` snapshots the candidate pool on the caller thread (so the
 worker never reads the mutable loss history) and runs
 ``NeSSASelector.select`` on a daemon thread; :meth:`join` blocks until
-the round completes — the trainer calls it *before* touching any state
+the round completes — the loop calls it *before* touching any state
 the worker reads (the quantized feedback replica, the embedding table) — and
-:meth:`consume` hands the finished result to the selection epoch.
+:meth:`consume` hands the finished result to the next selection epoch.
+The loop launches only under ``stale_feedback="stale"``; otherwise it
+never launches, :meth:`consume` returns None and the loop selects
+synchronously, which is why serial and strict-overlap runs are
+bit-identical.
 
 Tracing: the selector's spans are thread-local-muted on the worker
 (``obs.suppress()``, the tracer's span stack is single-threaded by
@@ -22,12 +27,6 @@ span forwarded from the training thread at the join point — the same
 convention the parallel engine uses for cross-process unit spans.  The
 ``overlap.efficiency`` gauge records the fraction of each round's
 duration that was hidden behind training.
-
-Strict mode (``stale_feedback="off"``): :meth:`launch` becomes a no-op
-and :meth:`consume` runs the round synchronously with exactly the serial
-trainer's ``selection_round`` span — histories and traces are
-bit-identical to the serial loop, which is what the equivalence suite
-pins.
 """
 
 from __future__ import annotations
@@ -48,13 +47,10 @@ class AsyncSelectionRound:
     ----------
     selector : a :class:`~repro.core.selector.NeSSASelector` (or any
         object with ``snapshot_candidates`` / ``select``).
-    strict : serial-semantics mode — never defers; :meth:`consume` runs
-        the round synchronously at the call site.
     """
 
-    def __init__(self, selector, strict: bool = False):
+    def __init__(self, selector):
         self.selector = selector
-        self.strict = strict
         self._thread: threading.Thread | None = None
         self._result: SelectionResult | None = None
         self._error: BaseException | None = None
@@ -71,10 +67,10 @@ class AsyncSelectionRound:
 
         ``model`` must be the quantized feedback replica as of *now*
         (round *t-1* relative to ``for_epoch`` — the staleness is the
-        point).  Returns False in strict mode or when a round is already
-        in flight (programming error guarded as a no-op).
+        point).  Returns False when a round is already in flight
+        (programming error guarded as a no-op).
         """
-        if self.strict or self._thread is not None:
+        if self._thread is not None:
             return False
         candidates = self.selector.snapshot_candidates(dataset)
         self._result = None
@@ -140,24 +136,16 @@ class AsyncSelectionRound:
         )
         return wait
 
-    def consume(self, dataset, fraction: float, model, epoch: int) -> SelectionResult:
-        """The selection result for ``epoch``.
+    def consume(self) -> SelectionResult | None:
+        """The launched round's result, joining first if the caller has not.
 
-        Overlapped path: returns the round launched during the previous
-        epoch (joining first if the caller has not).  Synchronous path
-        (strict mode, or nothing in flight — e.g. epoch 0): runs the
-        round now under the serial trainer's exact ``selection_round``
-        span, so strict traces diff clean against serial ones.
+        None when no round was launched (e.g. epoch 0, or a serial run) or
+        :meth:`close` dropped it; the caller then selects synchronously.
         """
         if self._thread is not None:
             self.join()
-        if self._result is not None:
-            result, self._result = self._result, None
-            self._for_epoch = None
-            return result
-        with obs.span("selection_round", epoch=epoch) as sel:
-            result = self.selector.select(dataset, fraction, model)
-            sel.set(**result.span_attrs(), fraction=float(fraction))
+        result, self._result = self._result, None
+        self._for_epoch = None
         return result
 
     def close(self) -> None:

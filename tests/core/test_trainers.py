@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.config import NeSSAConfig, TrainRecipe
 from repro.core.metrics import evaluate_accuracy
 from repro.core.trainer import FullTrainer, NeSSATrainer, SubsetTrainer
 from repro.data.synthetic import SyntheticConfig, make_train_test
 from repro.nn.resnet import resnet20
-from repro.selection.craig import CraigSelector
+from repro.selection.craig import CraigSelector, SelectionResult
 from repro.selection.random_sel import RandomSelector
 
 
@@ -92,6 +93,66 @@ class TestSubsetTrainer:
     def test_rejects_bad_fraction(self, data):
         with pytest.raises(ValueError):
             SubsetTrainer(factory(), recipe(), RandomSelector(), 0.0)
+
+    def test_rejects_select_every_below_one(self, data):
+        train, test = data
+        t = SubsetTrainer(factory(), recipe(2), RandomSelector(), 0.3, select_every=0)
+        with pytest.raises(ValueError, match="select_every"):
+            t.train(train, test)
+
+
+class EverythingSelector:
+    """Selects the whole set with uniform weights."""
+
+    def select(self, dataset, fraction, model):
+        n = len(dataset)
+        return SelectionResult(np.arange(n), np.ones(n))
+
+
+def test_full_training_equals_a_subset_of_everything(data):
+    train, test = data
+    full = FullTrainer(factory(), recipe(3), seed=0).train(train, test)
+    subset = SubsetTrainer(
+        factory(), recipe(3), EverythingSelector(), 1.0, seed=0
+    ).train(train, test)
+    assert full.loss_curve().tolist() == subset.loss_curve().tolist()
+    assert full.accuracy_curve().tolist() == subset.accuracy_curve().tolist()
+
+
+def _nessa_config(**overrides):
+    return NeSSAConfig(subset_fraction=0.3, seed=0, **overrides)
+
+
+TRAINERS = {
+    "full": lambda: FullTrainer(factory(), recipe(2), seed=0),
+    "craig": lambda: SubsetTrainer(factory(), recipe(2), CraigSelector(seed=0), 0.3),
+    "nessa": lambda: NeSSATrainer(factory(), recipe(2), _nessa_config(), factory),
+    "nessa-strict-overlap": lambda: NeSSATrainer(
+        factory(), recipe(2),
+        _nessa_config(overlap=True, stale_feedback="off"), factory,
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(TRAINERS))
+def test_every_method_records_the_same_span_attributes(data, method):
+    train, test = data
+    tracer = obs.Tracer(run=method)
+    obs.set_tracer(tracer)
+    try:
+        TRAINERS[method]().train(train, test)
+    finally:
+        obs.set_tracer(None)
+    epochs = [r for r in tracer.records if r.name == "epoch"]
+    assert len(epochs) == 2
+    for rec in epochs:
+        assert set(rec.attrs) == {
+            "epoch", "method", "train_loss", "test_accuracy", "subset_size",
+            "subset_fraction", "dropped_samples",
+        }
+    rounds = [r for r in tracer.records if r.name == "selection_round"]
+    assert len(rounds) == (0 if method == "full" else 2)
+    assert all("fraction" in r.attrs for r in rounds)
 
 
 class TestNeSSATrainer:

@@ -3,13 +3,13 @@
 Two layers of coverage:
 
 - :class:`AsyncSelectionRound` unit tests against a scripted selector
-  (launch/join/consume lifecycle, error forwarding, strict mode);
+  (launch/join/consume lifecycle, error forwarding);
 - end-to-end equivalence: the overlapped ``NeSSATrainer`` with
-  ``stale_feedback="off"`` must reproduce the serial trainer's
-  ``TrainingHistory`` exactly, for any prefetch depth, and its trace
-  must diff clean against serial modulo the overlap-only span names
-  (the same carve-out convention the parallel engine established for
-  ``shm_publish``).
+  ``stale_feedback="off"`` never launches a round, so it must reproduce
+  the serial trainer's ``TrainingHistory`` and trace exactly, for any
+  prefetch depth; the stale trace must diff clean against serial modulo
+  the overlap-only span names (the same carve-out convention the
+  parallel engine established for ``shm_publish``).
 """
 
 import time
@@ -68,7 +68,7 @@ class TestAsyncSelectionRound:
         with AsyncSelectionRound(sel) as round_:
             assert round_.launch("ds", 0.3, "model", for_epoch=1)
             assert sel.snapshots == 1
-            result = round_.consume("ds", 0.3, "model", epoch=1)
+            result = round_.consume()
         assert len(result.positions) == 4
         # the worker scored the snapshot taken at launch time
         assert sel.select_calls == [(0.3, ("snapshot", 1))]
@@ -92,27 +92,30 @@ class TestAsyncSelectionRound:
             round_.launch("ds", 0.3, "model", for_epoch=1)
             with pytest.raises(RuntimeError, match="scoring failed"):
                 round_.join()
-            # the round is reusable after the failure surfaced
+            # nothing to hand over, and the round is reusable after the
+            # failure surfaced
             assert not round_.in_flight
-            result = round_.consume("ds", 0.5, "model", epoch=1)
+            assert round_.consume() is None
+            assert round_.launch("ds", 0.5, "model", for_epoch=1)
+            result = round_.consume()
         assert len(result.positions) == 4
+        assert [f for f, _ in sel.select_calls] == [0.3, 0.5]
 
     def test_consume_joins_inflight_round_itself(self):
         sel = ScriptedSelector(delay=0.02)
         with AsyncSelectionRound(sel) as round_:
             round_.launch("ds", 0.3, "model", for_epoch=1)
-            result = round_.consume("ds", 0.3, "model", epoch=1)
+            result = round_.consume()
         assert result is not None
         assert len(sel.select_calls) == 1
 
-    def test_strict_mode_never_defers(self):
+    def test_consume_without_launch_is_none(self):
         sel = ScriptedSelector()
-        with AsyncSelectionRound(sel, strict=True) as round_:
-            assert not round_.launch("ds", 0.3, "model", for_epoch=1)
-            assert sel.snapshots == 0  # no speculative snapshot either
-            round_.consume("ds", 0.3, "model", epoch=1)
-        # synchronous path: select saw no pre-taken snapshot
-        assert sel.select_calls == [(0.3, None)]
+        with AsyncSelectionRound(sel) as round_:
+            assert round_.consume() is None
+        # nothing was snapshotted or scored: the caller selects itself
+        assert sel.snapshots == 0
+        assert sel.select_calls == []
 
     def test_close_drops_pending_result(self):
         sel = ScriptedSelector()
@@ -120,8 +123,8 @@ class TestAsyncSelectionRound:
         round_.launch("ds", 0.3, "model", for_epoch=1)
         round_.close()
         assert not round_.in_flight
-        round_.consume("ds", 0.3, "model", epoch=1)
-        assert len(sel.select_calls) == 2  # dropped result forced a re-select
+        assert round_.consume() is None
+        assert len(sel.select_calls) == 1
 
     def test_join_forwards_async_selection_span(self):
         tracer = obs.Tracer(run="overlap-test")
@@ -188,6 +191,12 @@ DETERMINISTIC_FIELDS = (
 )
 
 
+def comparable(record):
+    """A span minus its timings: id, tree position and non-``*_s`` attrs."""
+    attrs = {k: v for k, v in record.attrs.items() if not k.endswith("_s")}
+    return record.id, record.name, record.parent_id, attrs
+
+
 def deterministic_view(history):
     return [
         tuple(getattr(r, f) for f in DETERMINISTIC_FIELDS) for r in history.records
@@ -221,8 +230,8 @@ class TestOverlappedTrainerEquivalence:
         train_history(
             config(overlap=True, stale_feedback="off"), data, trace_to=strict_spans
         )
-        assert [(r.id, r.name) for r in serial_spans] == [
-            (r.id, r.name) for r in strict_spans
+        assert [comparable(r) for r in serial_spans] == [
+            comparable(r) for r in strict_spans
         ]
 
     def test_stale_mode_trace_matches_serial_modulo_overlap_spans(self, data):
