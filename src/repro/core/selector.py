@@ -22,7 +22,7 @@ at the start of an epoch (system step 2 in Figure 3):
    storage model consumes (proxy FLOPs, largest similarity buffer at the
    config's similarity dtype) and the round's selection quality
    (facility-location value, overlap with the previous round, class
-   shares).
+   shares), plus ``executor_fallback`` when the process pool fell back.
 """
 
 from __future__ import annotations
@@ -215,6 +215,11 @@ class NeSSASelector:
             fl_value += stats["fl_value"]
         positions = np.concatenate(positions) if positions else np.zeros(0, np.int64)
 
+        quality = self._quality(dataset.ids[positions], labels, dataset.y[positions],
+                                fl_value)
+        if self.executor.fallback_reason is not None:
+            quality["executor_fallback"] = self.executor.fallback_reason
+            obs.metrics().counter("parallel.executor_fallbacks").inc()
         # lint: allow-shared-state(one round in flight: written by the single active select call, read by the trainer only after join)
         self.last_pairwise_bytes = max_pairwise
         return SelectionResult(
@@ -222,8 +227,7 @@ class NeSSASelector:
             weights=np.concatenate(weights) if weights else np.zeros(0, np.float64),
             pairwise_bytes=max_pairwise,
             proxy_flops=proxy.flops,
-            quality=self._quality(dataset.ids[positions], labels, dataset.y[positions],
-                                  fl_value),
+            quality=quality,
         )
 
     def _quality(self, ids, pool_labels, labels, fl_value: float) -> dict:

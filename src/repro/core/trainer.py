@@ -30,7 +30,8 @@ selection epoch consumes its result.  Every other configuration never
 launches and selects synchronously under the loop's one
 ``selection_round`` span, so serial and strict-overlap runs are the same
 code path.  Each epoch's wall time and selection time (join wait
-included) are measured once, in the loop.
+included) are measured once, in the loop, and the whole run holds one
+BLAS thread per compute thread (:func:`repro.nn.blas.single_thread`).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from repro.core.selector import NeSSASelector
 from repro.data.dataset import Dataset, Subset
 from repro.data.loader import DataLoader
 from repro.data.prefetch import PrefetchingDataLoader
+from repro.nn import blas
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.modules import Module
 from repro.nn.optim import SGD, MultiStepLR
@@ -150,6 +152,14 @@ class _BaseTrainer:
         return mean_loss, np.concatenate(losses), np.concatenate(ids)
 
     def train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
+        # One BLAS thread per compute thread for the whole run.  The count
+        # is process-global, so the scope opens before the overlap thread,
+        # the prefetch thread and the lazily forked selection pool start,
+        # and closes after the loop has joined them.
+        with blas.single_thread():
+            return self._train(train_set, test_set)
+
+    def _train(self, train_set: Dataset, test_set: Dataset) -> TrainingHistory:
         # Imported here: repro.pipeline's package init imports this module.
         from repro.pipeline.overlap import AsyncSelectionRound
 
@@ -159,6 +169,10 @@ class _BaseTrainer:
         history = TrainingHistory(method=self.name)
         with obs.span("run_setup", method=self.name) as setup:
             setup.set(**self._before_train())
+            blas_fallback = blas.blas_fallback()
+            if blas_fallback is not None:
+                setup.set(blas_fallback=blas_fallback)
+                obs.metrics().counter("blas.fallbacks").inc()
 
         subset = train_set
         with AsyncSelectionRound(self.selector) as round_:

@@ -40,6 +40,10 @@ __all__ = [
 # through repro.obs.metrics appears here (NES011-enforced).  Types:
 # "counter" / "gauge" map 1:1; "timer" exports as a summary.
 METRIC_TABLE: dict[str, tuple[str, str]] = {
+    "blas.fallbacks": (
+        "counter",
+        "Training runs that could not pin one BLAS thread (no thread control)",
+    ),
     "overlap.efficiency": (
         "gauge",
         "Fraction of the last overlapped selection round hidden behind training",
@@ -55,6 +59,10 @@ METRIC_TABLE: dict[str, tuple[str, str]] = {
     "overlap.rounds_launched": (
         "counter",
         "Selection rounds launched on the overlap worker thread",
+    ),
+    "parallel.executor_fallbacks": (
+        "counter",
+        "Selection rounds run serially because the process pool fell back",
     ),
     "prefetch.batches": (
         "counter",

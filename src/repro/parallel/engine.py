@@ -17,7 +17,8 @@ worker counts 1/2/4.
 
 Fallbacks: ``workers <= 1``, missing POSIX shared memory, or a pool that
 fails to start all degrade to the in-process serial loop (same results,
-``fallback_reason`` says why).
+``fallback_reason`` says why, and the selector puts it on the round's
+span).  Every worker runs one BLAS thread (:mod:`repro.nn.blas`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import time
 import numpy as np
 
 from repro import obs
+from repro.nn import blas
 from repro.parallel.scheduler import WorkUnit, unit_rng
 from repro.parallel.store import SharedFeatureStore, StoreHandle, shared_memory_available
 
@@ -193,7 +195,11 @@ class SelectionExecutor:
                 if method is None:
                     method = "fork" if "fork" in mp.get_all_start_methods() else None
                 ctx = mp.get_context(method)
-                self._pool = ctx.Pool(processes=self.workers)
+                # A forked worker inherits the trainer's one BLAS thread; a
+                # spawned one re-imports numpy with a full-size pool.
+                self._pool = ctx.Pool(
+                    processes=self.workers, initializer=blas.pin_single_thread
+                )
             # lint: allow-broad-except(pool start fails for platform-specific reasons; the serial fallback is the designed response and the error is recorded in fallback_reason)
             except Exception as exc:  # pragma: no cover - platform dependent
                 self.fallback_reason = f"process pool unavailable: {exc}"

@@ -19,7 +19,8 @@ tolerance, and ``repro.cli bench --check`` exits non-zero on regression.
 Timings on shared/noisy machines vary run-to-run, hence the generous
 default tolerance.  Since schema v2 every case also records its
 ``peak_rss_bytes`` (parent-process high-water mark, reset per case
-where the kernel allows).
+where the kernel allows).  Every case, seed reference included, runs
+with one BLAS thread, as training does (:mod:`repro.nn.blas`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from repro import obs
+from repro.nn import blas
 
 __all__ = [
     "BenchCase",
@@ -184,25 +186,28 @@ def run_bench(
     if repeats < 1 or warmup < 0:
         raise ValueError("repeats must be >= 1 and warmup >= 0")
     group, make = _REGISTRY[name]
-    case = make(size)
 
-    try:
-        with obs.span("bench", bench=name, group=group, size=size) as sp:
-            _reset_peak_rss()
-            times = _time(case.run, repeats, warmup)
-            peak_rss = _read_peak_rss_bytes()
-            seed_median = None
-            speedup = None
-            if with_seed and case.seed_run is not None:
-                # The seed kernels are the slow side; half the repeats keeps the
-                # total bench wall-clock reasonable without hurting the median.
-                seed_times = _time(case.seed_run, max(1, repeats // 2), warmup)
-                seed_median = statistics.median(seed_times)
-                speedup = seed_median / statistics.median(times)
-            sp.set(median_s=statistics.median(times), repeats=repeats)
-    finally:
-        if case.cleanup is not None:
-            case.cleanup()
+    # Both sides run with the one BLAS thread training runs with.
+    with blas.single_thread():
+        case = make(size)
+        try:
+            with obs.span("bench", bench=name, group=group, size=size) as sp:
+                _reset_peak_rss()
+                times = _time(case.run, repeats, warmup)
+                peak_rss = _read_peak_rss_bytes()
+                seed_median = None
+                speedup = None
+                if with_seed and case.seed_run is not None:
+                    # The seed kernels are the slow side; half the repeats
+                    # keeps the total bench wall-clock reasonable without
+                    # hurting the median.
+                    seed_times = _time(case.seed_run, max(1, repeats // 2), warmup)
+                    seed_median = statistics.median(seed_times)
+                    speedup = seed_median / statistics.median(times)
+                sp.set(median_s=statistics.median(times), repeats=repeats)
+        finally:
+            if case.cleanup is not None:
+                case.cleanup()
 
     return BenchResult(
         name=name,

@@ -105,22 +105,30 @@ VIOLATIONS = {
 }
 
 
+@pytest.fixture(scope="module")
+def lint_cache(tmp_path_factory) -> str:
+    """One scan cache for the repo-tree runs, kept out of the working tree."""
+    return str(tmp_path_factory.mktemp("lint") / "lint_cache.json")
+
+
 class TestSelfLint:
-    def test_repo_tree_is_clean_under_committed_baseline(self, capsys):
+    def test_repo_tree_is_clean_under_committed_baseline(self, lint_cache, capsys):
         code = main(
             [
                 "lint",
                 str(ROOT / "src"),
                 "--baseline",
                 str(ROOT / "LINT_BASELINE.json"),
+                "--cache",
+                lint_cache,
             ]
         )
         out = capsys.readouterr().out
         assert code == 0, f"self-lint failed:\n{out}"
         assert "0 new finding(s)" in out
 
-    def test_repo_tree_without_baseline_reports_only_grandfathered(self, capsys):
-        code = main(["lint", str(ROOT / "src"), "--no-baseline"])
+    def test_repo_tree_without_baseline_reports_only_grandfathered(self, lint_cache, capsys):
+        code = main(["lint", str(ROOT / "src"), "--no-baseline", "--cache", lint_cache])
         out = capsys.readouterr().out
         assert code == 1
         # The single grandfathered finding: facility.py's documented
@@ -149,7 +157,8 @@ class TestSeededViolations:
         target.parent.mkdir(parents=True)
         target.write_text(source)
         code = main(
-            ["lint", str(tmp_path), "--no-baseline", "--select", rule, "--format", "json"]
+            ["lint", str(tmp_path), "--no-baseline", "--no-cache", "--select", rule,
+             "--format", "json"]
         )
         out = capsys.readouterr().out
         assert code == 1
@@ -162,7 +171,7 @@ class TestSeededViolations:
         target = tmp_path / relpath
         target.parent.mkdir(parents=True)
         target.write_text(source)
-        main(["lint", str(tmp_path), "--no-baseline", "--format", "json"])
+        main(["lint", str(tmp_path), "--no-baseline", "--no-cache", "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"findings", "baseline_matched", "suppressed"}
         (finding,) = doc["findings"]
