@@ -16,9 +16,8 @@ Training" (Prakriya et al., HotStorage '23):
 - ``repro.core`` — the NeSSA contribution: the selector with quantized-weight
   feedback, subset biasing, and dataset partitioning, plus trainers and the
   dynamic subset-size schedule.
-- ``repro.parallel`` — the multi-core selection engine: shared-memory
-  feature store, deterministic (class x chunk) work-unit scheduler, and
-  persistent process-pool executor.
+- ``repro.parallel`` — the selection engine: deterministic (class x chunk)
+  work-unit scheduler and the in-process executor that runs the units.
 - ``repro.smartssd`` — a discrete-event simulator of the Samsung SmartSSD
   (NAND flash, KU15P FPGA resource model, P2P and host PCIe links).
 - ``repro.perf`` — GPU throughput catalogue and epoch-time decomposition used

@@ -1,10 +1,10 @@
 """``repro.analysis`` — the AST lint engine enforcing repo invariants.
 
 The reproduction's trustworthiness rests on invariants no unit test
-watches continuously: selection must be deterministic for any worker
-count (PR 2), allocated dtypes must match the ``similarity_precision``
-byte accounting (PR 1), shared-memory segments must never leak, errors
-must not be silently swallowed, and nn forward shapes must compose.
+watches continuously: selection must be deterministic, allocated dtypes
+must match the ``similarity_precision`` byte accounting, buffer-pool
+leases must never leak, errors must not be silently swallowed, and nn
+forward shapes must compose.
 This package machine-checks them with a stdlib-``ast`` engine:
 
 - :mod:`repro.analysis.engine` — per-file visitor pipeline + pragmas;

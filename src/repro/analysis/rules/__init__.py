@@ -5,7 +5,6 @@
 | NES001 | allow-determinism      | no global-state randomness in selection/parallel/nn |
 | NES002 | allow-implicit-float64 | allocations in dtype-accounted modules name their dtype |
 | NES003 | allow-broad-except     | broad handlers re-raise, log, or justify themselves |
-| NES004 | allow-shm-lifecycle    | shm segments released on all exit paths |
 | NES005 | allow-shape-contract   | public nn forwards carry composing shape contracts |
 | NES006 | allow-span-with        | obs spans are with-managed at the call site |
 | NES007 | allow-pool-lease       | buffer-pool leases released on all exit paths |
@@ -18,7 +17,9 @@
 | NES014 | allow-dtype-drift      | no inferred float64 past declared precision into sinks (project) |
 
 (NES000 is the engine's parse-failure pseudo-rule; it has no pragma and
-cannot be baselined.  NES009/NES010 are whole-program rules driven by
+cannot be baselined.  NES004, the shared-memory lifecycle rule, is
+retired: no shared-memory segment is created anywhere in the tree.
+NES009/NES010 are whole-program rules driven by
 :mod:`repro.analysis.project`; NES012–NES014 ride the abstract
 interpreter in :mod:`repro.analysis.absint`.)
 """
@@ -33,7 +34,6 @@ from repro.analysis.rules import (  # noqa: F401 - imports register checkers
     precision,
     races,
     shape,
-    shm,
     spans,
     upcast,
 )

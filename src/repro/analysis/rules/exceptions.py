@@ -1,9 +1,9 @@
 """NES003 — broad exception handlers that swallow errors silently.
 
-``except Exception`` around a fallback is legitimate exactly when the
-fallback is the *designed* behaviour for a whole class of platform
-failures (no POSIX shm, no process pool) — and those sites must say so
-with ``# lint: allow-broad-except(reason)``.  Everywhere else a broad
+``except Exception`` is legitimate exactly when catching everything is
+the *designed* behaviour — a worker thread that cannot raise to its
+caller and hands the exception over instead — and those sites must say
+so with ``# lint: allow-broad-except(reason)``.  Everywhere else a broad
 handler that neither re-raises nor logs turns real bugs (a typo'd
 attribute, a shape mismatch) into silently-wrong results — in a
 reproduction whose value is numerical trustworthiness, that is an

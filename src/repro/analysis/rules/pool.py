@@ -5,10 +5,10 @@ A :class:`~repro.nn.scratch.BufferLease` that escapes without a
 — but it silently re-introduces the steady-state allocation churn the
 pool exists to remove, and the pool's ``outstanding`` accounting drifts,
 which is exactly the failure mode the allocation-count tests gate on.
-Same dataflow shape as NES004's shared-memory check: every lease bound
-in a function scope must be released on *all* exits.
+This dataflow check requires every lease bound in a function scope to
+be released on *all* exits.
 
-Accepted lifecycle shapes (mirroring NES004):
+Accepted lifecycle shapes:
 
 - ``with pool.lease(...) as lease: ...`` — the lease is a context
   manager;
@@ -26,9 +26,31 @@ import ast
 
 from repro.analysis.registry import Checker, register
 from repro.analysis.rules._util import dotted_name
-from repro.analysis.rules.shm import _own_nodes, _with_context_creations
 
 _CREATOR_TAILS = {"lease", "BufferLease"}
+
+
+def _own_nodes(func: ast.AST):
+    """Nodes belonging to ``func`` itself, excluding nested function bodies
+    (those scopes are visited on their own and must not be double-reported)."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _with_context_creations(func: ast.AST) -> set[ast.Call]:
+    managed: set[ast.Call] = set()
+    for node in ast.walk(func):
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                for sub in ast.walk(item.context_expr):
+                    if isinstance(sub, ast.Call):
+                        managed.add(sub)
+    return managed
 
 
 def _is_lease_creation(node: ast.AST) -> bool:

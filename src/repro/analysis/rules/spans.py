@@ -11,9 +11,9 @@ opened in between as its child.  This check requires each
 Factory shapes are exempt: a span call in return position hands the
 un-entered span to a caller who will ``with``-manage it (the
 module-level :func:`repro.obs.span` helper is exactly that shape) —
-the same ownership-transfer idea as NES004's returned-segment
-exemption.  Spans finished in pool workers cannot be ``with``-managed
-in the parent at all; forward those through
+the same ownership-transfer idea as NES007's returned-lease exemption.
+Spans timed outside a ``with`` block (a selection unit timed around its
+call, an overlapped round's summary) go through
 :meth:`~repro.obs.tracer.Tracer.add_completed` instead.
 """
 
@@ -75,6 +75,6 @@ class SpanWithChecker(Checker):
                 "span created outside a `with` statement: its record is "
                 "only emitted on __exit__, and children opened before "
                 "entry are misattributed",
-                hint="use `with obs.span(...) as sp:`; spans finished in "
-                "pool workers go through Tracer.add_completed()",
+                hint="use `with obs.span(...) as sp:`; spans timed outside "
+                "a with block go through Tracer.add_completed()",
             )

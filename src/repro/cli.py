@@ -128,7 +128,6 @@ def _cmd_train(args) -> int:
             subset_fraction=args.fraction or DATASETS[args.dataset].subset_fraction,
             biasing_drop_period=max(3, args.epochs // 3),
             seed=args.seed,
-            workers=args.workers,
             overlap=args.overlap,
             stale_feedback=args.stale_feedback,
             prefetch_depth=args.prefetch_depth,
@@ -246,9 +245,6 @@ def _cmd_bench(args) -> int:
     if args.tolerance < 0:
         print("bench: --tolerance must be >= 0")
         return 2
-    if args.workers is not None and args.workers < 1:
-        print("bench: --workers must be >= 1")
-        return 2
     if not _trace_flags_ok(args):
         return 2
     groups = list(bench.GROUPS) if args.group == "all" else [args.group]
@@ -265,7 +261,6 @@ def _cmd_bench(args) -> int:
                 repeats=args.repeats,
                 warmup=args.warmup,
                 with_seed=not args.no_seed,
-                max_workers=args.workers,
             )
             for r in results:
                 speedup = (f"  {r.speedup_vs_seed:5.2f}x vs seed"
@@ -490,9 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=1)
     train.add_argument("--data-seed", type=int, default=3)
     train.add_argument("--save-history", default=None, metavar="PATH")
-    train.add_argument("--workers", type=int, default=1,
-                       help="selection-engine process count (1 = serial; "
-                            "results are identical for any count)")
     train.add_argument("--overlap", action="store_true",
                        help="run NeSSA selection rounds on a background "
                             "thread, overlapped with training")
@@ -515,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record a repro.obs run-trace (JSONL) to PATH")
     train.add_argument("--profile-mem", action="store_true",
                        help="attribute memory to trace spans (tracemalloc + "
-                            "pool/shm credits; requires --trace)")
+                            "buffer-pool credits; requires --trace)")
     train.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write the final metrics snapshot in Prometheus "
                             "text format to PATH")
@@ -549,8 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run hot-path microbenchmarks")
     bench.add_argument("--group",
-                       choices=["selection", "nn", "parallel", "pipeline",
-                                "qscore", "all"],
+                       choices=["selection", "nn", "pipeline", "qscore", "all"],
                        default="all")
     bench.add_argument("--size", choices=["tiny", "default"], default="default")
     bench.add_argument("--repeats", type=int, default=5)
@@ -565,8 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="baseline directory for --check (default: --out-dir)")
     bench.add_argument("--tolerance", type=float, default=0.5,
                        help="allowed fractional slowdown before a check fails")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="skip parallel benches needing more workers than this")
     bench.add_argument("--trace", default=None, metavar="PATH",
                        help="record a repro.obs run-trace (JSONL) to PATH")
     bench.add_argument("--profile-mem", action="store_true",

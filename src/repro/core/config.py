@@ -78,9 +78,9 @@ class NeSSAConfig:
     use_partitioning : dataset partitioning (§3.2.3).
     partition_chunk_select : samples selected per chunk (*m*; the paper
         uses the mini-batch size, and the trainer defaults it to that).
-    workers : process count for the parallel selection engine
-        (:mod:`repro.parallel`); 1 keeps selection serial in-process.
-        Parallel results are bit-identical to serial for any count.
+    workers : accepted and validated (>= 1) but has no effect on
+        execution: selection units always run in-process
+        (:mod:`repro.parallel`), and results never depended on it.
     similarity_precision : entry dtype of the similarity tiles the
         accounting charges against on-chip memory — ``"float32"`` (the
         FPGA kernel's fp32 tile), ``"float64"`` (host-side block-tiled

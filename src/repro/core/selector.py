@@ -13,16 +13,15 @@ at the start of an epoch (system step 2 in Figure 3):
    §3.2.2 — the :class:`~repro.selection.biasing.LossHistory` is fed by
    the trainer);
 3. flatten the per-class facility-location work into independent
-   (class x chunk) units (:mod:`repro.parallel.scheduler`) and run them —
-   serially, or fanned out over the
-   :class:`~repro.parallel.engine.SelectionExecutor`'s process pool with
-   proxies in shared memory.  Unit RNG streams are keyed, not shared, so
-   the two paths are bit-identical for any worker count;
+   (class x chunk) units (:mod:`repro.parallel.scheduler`) and run them
+   in-process on the :class:`~repro.parallel.engine.SelectionExecutor`.
+   Unit RNG streams are keyed, not shared, so a unit's result never
+   depends on when it ran;
 4. return medoid positions + CRAIG weights, plus the accounting the
    storage model consumes (proxy FLOPs, largest similarity buffer at the
    config's similarity dtype) and the round's selection quality
    (facility-location value, overlap with the previous round, class
-   shares), plus ``executor_fallback`` when the process pool fell back.
+   shares).
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ class NeSSASelector:
     config : the NeSSA knobs; :class:`~repro.core.config.NeSSAConfig`.
     chunk_select : per-chunk selection count *m* for partitioning; the
         trainer passes the mini-batch size per the paper's convention.
-    workers : overrides ``config.workers`` (process count of the
-        selection engine; 1 = serial).  Selections are bit-identical
-        across worker counts — see DESIGN.md §4.
     """
 
     name = "nessa"
@@ -61,11 +57,9 @@ class NeSSASelector:
         self,
         config: NeSSAConfig,
         chunk_select: int | None = None,
-        workers: int | None = None,
     ):
         self.config = config
         self.chunk_select = chunk_select or config.partition_chunk_select
-        self.workers = config.workers if workers is None else max(1, workers)
         self.rng = np.random.default_rng(config.seed)
         self.loss_history = LossHistory(
             window=config.biasing_window,
@@ -76,7 +70,7 @@ class NeSSASelector:
         # Set to None to run the full forward every round (the per-round
         # reference the head-only schedule is measured against).
         self.embeddings: EmbeddingTable | None = EmbeddingTable()
-        self.executor = SelectionExecutor(self.workers)
+        self.executor = SelectionExecutor()
         self.last_pairwise_bytes = 0
         self._round = 0
         self._last_ids: np.ndarray | None = None
@@ -158,10 +152,9 @@ class NeSSASelector:
         labels = dataset.y[candidates]
 
         # Quantized scoring: collapse the proxies to int8 buckets up
-        # front.  The engine then ships 1-byte rows through shared
-        # memory, and the bucket digests key both the chunk permutation
-        # (stable partition across unchanged rounds) and the similarity
-        # block cache.
+        # front.  The units then run on 1-byte rows, and the bucket
+        # digests key both the chunk permutation (stable partition across
+        # unchanged rounds) and the similarity block cache.
         vectors = proxy.vectors
         perm_entropy = None
         scales = None
@@ -195,13 +188,8 @@ class NeSSASelector:
             scoring=scoring,
             scales=scales,
         )
-        with obs.span(
-            "chunk_select",
-            units=len(units),
-            workers=self.executor.workers,
-            parallel=self.executor.is_parallel,
-        ):
-            outcomes = self.executor.run_units(vectors, units, spec, labels=labels)
+        with obs.span("chunk_select", units=len(units), workers=1, parallel=False):
+            outcomes = self.executor.run_units(vectors, units, spec)
         obs.metrics().counter("selection.units_executed").inc(len(units))
         obs.metrics().counter("selection.rounds").inc()
 
@@ -217,9 +205,6 @@ class NeSSASelector:
 
         quality = self._quality(dataset.ids[positions], labels, dataset.y[positions],
                                 fl_value)
-        if self.executor.fallback_reason is not None:
-            quality["executor_fallback"] = self.executor.fallback_reason
-            obs.metrics().counter("parallel.executor_fallbacks").inc()
         # lint: allow-shared-state(one round in flight: written by the single active select call, read by the trainer only after join)
         self.last_pairwise_bytes = max_pairwise
         return SelectionResult(
@@ -278,7 +263,7 @@ class NeSSASelector:
         return Subset(dataset, result.positions, weights=result.weights)
 
     def close(self) -> None:
-        """Release the engine's process pool (no-op for serial selectors)."""
+        """Close the executor (it holds nothing; kept for callers that close)."""
         self.executor.close()
 
     def __enter__(self) -> "NeSSASelector":

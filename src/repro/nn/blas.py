@@ -1,23 +1,22 @@
 """One BLAS thread per compute thread.
 
 numpy's OpenBLAS sizes its thread pool to the machine in every process.
-Training already runs several compute threads at once — the training
-thread, the overlap thread's proxy forward, the selection pool workers —
-and each would fan its GEMMs out over that pool again, so on a 2-core box
-up to 8 BLAS threads fight over 2 cores.  The GEMMs training runs are
-small (a ResNet conv is 6x54 @ 54x4096: 115 µs threaded, 132 µs on one
-thread, warm and alone) and gain little from the pool, but a threaded call
-that finds its pool busy or cold stalls for milliseconds (DESIGN.md §3
-"BLAS threads").
+Training already runs two compute threads at once — the training thread
+and the overlap thread's proxy forward and selection units — and each
+would fan its GEMMs out over that pool again, so on a 2-core box up to 4
+BLAS threads fight over 2 cores.  The GEMMs training runs are small (a
+ResNet conv is 6x54 @ 54x4096: 115 µs threaded, 132 µs on one thread,
+warm and alone) and gain little from the pool, but a threaded call that
+finds its pool busy or cold stalls for milliseconds (DESIGN.md §3 "BLAS
+threads").
 
 :func:`single_thread` pins the count to 1 for the duration of a scope and
 restores it on exit.  The count is process-global, so scopes are
 reference-counted under a lock: nested and concurrent scopes pin once and
-the last one out restores.  :func:`pin_single_thread` is the selection
-pool's worker initializer (spawned workers re-import numpy with a fresh
-pool).  The controls are looked up with :mod:`ctypes` in the BLAS numpy
-links; when none of the known symbols exists (MKL, Accelerate, an unknown
-build) every call is a no-op and :func:`blas_fallback` says why.
+the last one out restores.  The controls are looked up with
+:mod:`ctypes` in the BLAS numpy links; when none of the known symbols
+exists (MKL, Accelerate, an unknown build) every call is a no-op and
+:func:`blas_fallback` says why.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 from typing import Iterator
 
-__all__ = ["blas_threads", "blas_fallback", "single_thread", "pin_single_thread"]
+__all__ = ["blas_threads", "blas_fallback", "single_thread"]
 
 # (get, set) symbol pairs, most specific first: the scipy-openblas wheels
 # numpy ships prefix (and, for 64-bit ints, suffix) every symbol; a system
@@ -76,13 +75,6 @@ def blas_threads() -> int | None:
 def blas_fallback() -> str | None:
     """Why BLAS threads cannot be controlled; None when they can."""
     return _lookup()[2]
-
-
-def pin_single_thread() -> None:
-    """Set one BLAS thread for the rest of the process (pool initializer)."""
-    set_ = _lookup()[1]
-    if set_ is not None:
-        set_(1)
 
 
 # The thread count is process-global, so the scopes' bookkeeping is too:

@@ -11,8 +11,8 @@ instead of bench-file archaeology.
 
 **Alignment and classification.**  Spans pair by id; unpaired spans are
 ``added`` (only in B) or ``removed`` (only in A).  Known structural
-asymmetries between *configurations* — the parallel-only ``shm_publish``
-span, the overlap-only ``async_selection`` span, the synchronous
+asymmetries between *configurations* — the overlap-only
+``async_selection`` span, the synchronous
 ``selection_round`` subtree that overlap moves onto a muted worker
 thread — are **declared** as :class:`CarveOut` entries rather than
 special-cased inline: an unpaired span whose own name *or any ancestor
@@ -39,7 +39,7 @@ mismatch on a span present in both traces.
 way: counters exactly, gauges and timer totals with tolerance (timer
 *counts* exactly — the number of observations is structural).  Metric
 names present on one side only are structural drift unless a declared
-metric carve-out (prefix match: ``overlap.``, ``prefetch.``, ``shm.``,
+metric carve-out (prefix match: ``overlap.``, ``prefetch.``,
 ``qscore.``) covers the configuration asymmetry.
 
 **Verdict.**  ``structural-drift`` (un-excused shape difference) >
@@ -97,12 +97,6 @@ class CarveOut:
 DEFAULT_CARVEOUTS = (
     CarveOut(
         "span",
-        "shm_publish",
-        "parallel engine only: a --workers N > 1 run publishes proxy "
-        "state to POSIX shared memory before fanning units out",
-    ),
-    CarveOut(
-        "span",
         "async_selection",
         "overlap only: the summary span forwarded at the join point of "
         "a selection round that ran on the worker thread",
@@ -127,25 +121,21 @@ DEFAULT_CARVEOUTS = (
     ),
     CarveOut(
         "metric",
-        "shm.",
-        "parallel engine only: shared-memory publish accounting",
-    ),
-    CarveOut(
-        "metric",
         "qscore.",
         "int8 quantized scoring only (--quantized-scoring int8)",
     ),
     CarveOut(
         "attr",
         "workers",
-        "configuration label on chunk_select: the --workers the run "
-        "was asked for, not a measurement",
+        "configuration label on chunk_select, not a measurement: units "
+        "run in-process (1), but traces from before the process pool was "
+        "removed record the --workers they were asked for",
     ),
     CarveOut(
         "attr",
         "parallel",
         "configuration label on chunk_select: whether the executor "
-        "fanned out, implied by --workers",
+        "fanned out (always false now; older traces may say true)",
     ),
 )
 

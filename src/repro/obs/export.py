@@ -60,10 +60,6 @@ METRIC_TABLE: dict[str, tuple[str, str]] = {
         "counter",
         "Selection rounds launched on the overlap worker thread",
     ),
-    "parallel.executor_fallbacks": (
-        "counter",
-        "Selection rounds run serially because the process pool fell back",
-    ),
     "prefetch.batches": (
         "counter",
         "Batches served by the prefetching data loader",
@@ -107,14 +103,6 @@ METRIC_TABLE: dict[str, tuple[str, str]] = {
     "selection.units_executed": (
         "counter",
         "(class x chunk) work units executed across selection rounds",
-    ),
-    "shm.bytes_published": (
-        "counter",
-        "Bytes published to POSIX shared memory for selection pool workers",
-    ),
-    "shm.segments_published": (
-        "counter",
-        "Shared-memory segments published for selection pool workers",
     ),
 }
 

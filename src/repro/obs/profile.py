@@ -1,11 +1,10 @@
 """Per-span memory attribution and flamegraph export (schema 2).
 
 NeSSA's selection overhead argument is a *resource* argument, not just a
-wall-clock one: the scratch buffers a round leases, the proxy arrays it
-allocates and the shared-memory segments it publishes all count against
-the near-storage budget.  This module attributes those bytes to the
-trace's spans so ``repro.cli obsdiff`` can catch a leak the same way it
-catches a slowdown.
+wall-clock one: the scratch buffers a round leases and the proxy arrays
+it allocates all count against the near-storage budget.  This module
+attributes those bytes to the trace's spans so ``repro.cli obsdiff`` can
+catch a leak the same way it catches a slowdown.
 
 Two mechanisms:
 
@@ -22,8 +21,7 @@ Two mechanisms:
   tracer cannot see through tracemalloc deltas alone because they are
   pooled or live outside the Python heap: :class:`repro.nn.scratch.
   BufferPool` credits ``mem_pool_lease_bytes`` / ``mem_pool_release_
-  bytes`` on lease/release and the parallel engine credits
-  ``mem_shm_bytes`` for published shared-memory segments.  All
+  bytes`` on lease/release.  All
   profiling attrs share the ``mem_`` prefix: the report excludes them
   from the data-moved byte columns and the diff engine compares them
   with tolerance (and excuses their absence, which is how schema-1 and

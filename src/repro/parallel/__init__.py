@@ -1,32 +1,19 @@
-"""Multi-core selection engine: shared-memory fan-out over (class x chunk).
+"""Selection engine: deterministic (class x chunk) work units, run in-process.
 
 The paper's FPGA realizes selection as spatially parallel compute units;
-this package is the CPU analogue — see DESIGN.md §4 for the executor,
-shared-memory layout and determinism strategy.
+here every unit is an independent, keyed-RNG facility-location problem
+that the executor runs serially — see DESIGN.md §4 for the determinism
+strategy.
 """
 
-from repro.parallel.engine import (
-    SelectionExecutor,
-    SelectionSpec,
-    default_workers,
-    execute_unit,
-)
+from repro.parallel.engine import SelectionExecutor, SelectionSpec, execute_unit
 from repro.parallel.scheduler import WorkUnit, plan_selection_round, unit_rng
-from repro.parallel.store import (
-    SharedFeatureStore,
-    StoreHandle,
-    shared_memory_available,
-)
 
 __all__ = [
     "SelectionExecutor",
     "SelectionSpec",
-    "default_workers",
     "execute_unit",
     "WorkUnit",
     "plan_selection_round",
     "unit_rng",
-    "SharedFeatureStore",
-    "StoreHandle",
-    "shared_memory_available",
 ]

@@ -1,9 +1,10 @@
 """Microbenchmark harness with regression checking for the hot-path kernels.
 
 Each bench is registered under a dotted name inside a group
-(``selection``, ``nn``, ``parallel``, ``pipeline``, or ``qscore``) and
-builds its inputs once, outside the timed region.  :func:`run_bench` runs warmup + repeated timed calls and reports
-median / p90 / min / mean wall-clock seconds.  Where the seed
+(``selection``, ``nn``, ``pipeline``, or ``qscore``) and builds its
+inputs once, outside the timed region.  :func:`run_bench` runs warmup +
+repeated timed calls and reports median / p90 / min / mean wall-clock
+seconds.  Where the seed
 implementation of a kernel is still available (kept as a reference —
 ``naive_pairwise_distances``, ``lazy_greedy_reference``,
 ``_im2col_loop`` / ``_col2im_loop``), the bench also times it and
@@ -12,8 +13,8 @@ reproducible from one command::
 
     PYTHONPATH=src python -m repro.cli bench --group all
 
-Results serialize to JSON (``BENCH_selection.json`` / ``BENCH_nn.json``
-/ ``BENCH_parallel.json`` at the repo root are the committed baselines);
+Results serialize to JSON (the ``BENCH_<group>.json`` files at the repo
+root are the committed baselines);
 :func:`compare` flags any bench whose median regressed beyond a
 tolerance, and ``repro.cli bench --check`` exits non-zero on regression.
 Timings on shared/noisy machines vary run-to-run, hence the generous
@@ -50,11 +51,10 @@ __all__ = [
     "compare",
 ]
 
-GROUPS = ("selection", "nn", "parallel", "pipeline", "qscore")
+GROUPS = ("selection", "nn", "pipeline", "qscore")
 SIZES = ("tiny", "default")
 DEFAULT_TOLERANCE = 0.5
 SCHEMA_VERSION = 2  # v2 added peak_rss_bytes; compare() tolerates v1 docs
-PARALLEL_WORKER_COUNTS = (1, 2, 4, 8)
 
 
 @dataclass
@@ -64,14 +64,12 @@ class BenchCase:
     ``run`` is the optimized kernel under test; ``seed_run`` (optional)
     is the seed implementation on the same inputs, used to report the
     before/after speedup.  ``params`` records the input sizes for the
-    JSON output.  ``cleanup`` (optional) releases resources the case
-    holds open (e.g. the parallel engine's process pool) after timing.
+    JSON output.
     """
 
     run: Callable[[], object]
     seed_run: Callable[[], object] | None = None
     params: dict = field(default_factory=dict)
-    cleanup: Callable[[], None] | None = None
 
 
 @dataclass
@@ -94,16 +92,10 @@ class BenchResult:
 
 
 _REGISTRY: dict[str, tuple[str, Callable[[str], BenchCase]]] = {}
-_BENCH_WORKERS: dict[str, int] = {}  # parallel benches: pool size per name
 
 
-def register_bench(name: str, group: str, workers: int | None = None):
-    """Decorator registering ``make(size) -> BenchCase`` under ``name``.
-
-    ``workers`` tags benches that spin up a process pool of that size,
-    so ``run_group(..., max_workers=N)`` can skip fan-outs wider than
-    the machine (or the user's ``--workers`` cap) supports.
-    """
+def register_bench(name: str, group: str):
+    """Decorator registering ``make(size) -> BenchCase`` under ``name``."""
     if group not in GROUPS:
         raise ValueError(f"unknown bench group {group!r} (use one of {GROUPS})")
 
@@ -111,8 +103,6 @@ def register_bench(name: str, group: str, workers: int | None = None):
         if name in _REGISTRY:
             raise ValueError(f"bench {name!r} already registered")
         _REGISTRY[name] = (group, make)
-        if workers is not None:
-            _BENCH_WORKERS[name] = workers
         return make
 
     return decorator
@@ -190,24 +180,20 @@ def run_bench(
     # Both sides run with the one BLAS thread training runs with.
     with blas.single_thread():
         case = make(size)
-        try:
-            with obs.span("bench", bench=name, group=group, size=size) as sp:
-                _reset_peak_rss()
-                times = _time(case.run, repeats, warmup)
-                peak_rss = _read_peak_rss_bytes()
-                seed_median = None
-                speedup = None
-                if with_seed and case.seed_run is not None:
-                    # The seed kernels are the slow side; half the repeats
-                    # keeps the total bench wall-clock reasonable without
-                    # hurting the median.
-                    seed_times = _time(case.seed_run, max(1, repeats // 2), warmup)
-                    seed_median = statistics.median(seed_times)
-                    speedup = seed_median / statistics.median(times)
-                sp.set(median_s=statistics.median(times), repeats=repeats)
-        finally:
-            if case.cleanup is not None:
-                case.cleanup()
+        with obs.span("bench", bench=name, group=group, size=size) as sp:
+            _reset_peak_rss()
+            times = _time(case.run, repeats, warmup)
+            peak_rss = _read_peak_rss_bytes()
+            seed_median = None
+            speedup = None
+            if with_seed and case.seed_run is not None:
+                # The seed kernels are the slow side; half the repeats
+                # keeps the total bench wall-clock reasonable without
+                # hurting the median.
+                seed_times = _time(case.seed_run, max(1, repeats // 2), warmup)
+                seed_median = statistics.median(seed_times)
+                speedup = seed_median / statistics.median(times)
+            sp.set(median_s=statistics.median(times), repeats=repeats)
 
     return BenchResult(
         name=name,
@@ -232,17 +218,11 @@ def run_group(
     repeats: int = 5,
     warmup: int = 1,
     with_seed: bool = True,
-    max_workers: int | None = None,
 ) -> list[BenchResult]:
-    """Run every bench registered under ``group``.
-
-    ``max_workers`` skips benches whose registered pool size exceeds it
-    (the parallel group's 8-worker case on a 4-core box, say).
-    """
+    """Run every bench registered under ``group``."""
     return [
         run_bench(name, size=size, repeats=repeats, warmup=warmup, with_seed=with_seed)
         for name in registered_benches(group)
-        if max_workers is None or _BENCH_WORKERS.get(name, 1) <= max_workers
     ]
 
 
@@ -537,80 +517,6 @@ register_bench("nn.resnet18_w6_stage4_conv1x1_b256_bwd", "nn")(
     _real_conv_bench(48, 1, 256, forward=False, backward=True))
 
 
-# -- parallel group: the multi-core selection engine -------------------------
-#
-# The w1 case is the serial baseline on identical work units; wN cases
-# time the same round fanned over a persistent N-worker pool with the
-# proxy matrix in shared memory.  Speedup tracks physical cores — on a
-# 1-core CI box expect parity (pool overhead only), on a 4-core machine
-# the acceptance target is >= 2.5x for w4 (benchmarks/test_perf_regression.py
-# asserts it where the hardware allows).  Pools are created in the
-# warmup call and torn down by the case's cleanup hook.
-
-
-def _parallel_round_case(size: str, workers: int) -> BenchCase:
-    from repro.parallel.engine import SelectionExecutor, SelectionSpec
-    from repro.parallel.scheduler import plan_selection_round
-
-    n, d, classes, k, m = (
-        (2000, 10, 4, 300, 32) if size == "default" else (200, 8, 4, 40, 10)
-    )
-    rng = np.random.default_rng(6)
-    vectors = rng.normal(size=(n, d))
-    labels = np.sort(rng.integers(0, classes, size=n))
-    units = plan_selection_round(
-        labels, k, seed=0, round_index=0, chunk_select=m
-    )
-    spec = SelectionSpec()
-    executor = SelectionExecutor(workers)
-    return BenchCase(
-        run=lambda: executor.run_units(vectors, units, spec, labels=labels),
-        params={"n": n, "d": d, "classes": classes, "k": k,
-                "chunk_select": m, "workers": workers, "units": len(units)},
-        cleanup=executor.close,
-    )
-
-
-def _register_parallel_round(workers: int):
-    @register_bench(f"parallel.selection_round_w{workers}", "parallel",
-                    workers=workers)
-    def _bench(size: str, _w=workers) -> BenchCase:
-        return _parallel_round_case(size, _w)
-
-
-for _w in PARALLEL_WORKER_COUNTS:
-    _register_parallel_round(_w)
-
-
-@register_bench("parallel.store_attach", "parallel")
-def _bench_store_attach(size: str) -> BenchCase:
-    """Publish + attach + full-read round-trip of the shared-memory store.
-
-    The full read keeps the timing dominated by deterministic copy work
-    rather than by shm_open/mmap syscall jitter, which at sub-ms scale
-    is noisy enough to trip the regression tolerance on shared machines.
-    """
-    from repro.parallel.store import SharedFeatureStore
-
-    n, d = (20000, 32) if size == "default" else (200, 8)
-    vectors = np.random.default_rng(7).normal(size=(n, d))
-    labels = np.arange(n, dtype=np.int64)
-
-    def run():
-        store = SharedFeatureStore(vectors, labels)
-        try:
-            attached = SharedFeatureStore.attach(store.handle)
-            try:
-                return float(np.asarray(attached.vectors).sum())
-            finally:
-                attached.close()
-        finally:
-            store.close()
-            store.unlink()
-
-    return BenchCase(run=run, params={"n": n, "d": d})
-
-
 # -- pipeline group: end-to-end epoch wall-clock ------------------------------
 #
 # Unlike the kernel groups these time whole training loops, so the
@@ -618,8 +524,7 @@ def _bench_store_attach(size: str) -> BenchCase:
 # old kernel.  Both benches need spare cores to show a win: on a 1-core
 # box the background threads only add contention, and the committed
 # baseline honestly records ~1x (the >= 1.5x acceptance target is
-# asserted by benchmarks/test_perf_regression.py on >= 4 cores only,
-# PR 2's convention).
+# asserted by benchmarks/test_perf_regression.py on >= 4 cores only).
 
 
 @register_bench("pipeline.loader_prefetch", "pipeline")

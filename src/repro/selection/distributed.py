@@ -37,20 +37,12 @@ def pairwise_similarity(vectors: np.ndarray, c0: float | None = None) -> np.ndar
     return similarity_from_distances(distances, c0=c0)
 
 
-def _shard_select(shard_vectors: np.ndarray, k: int, maximizer) -> np.ndarray:
-    """Round-1 per-machine greedy (module-level so workers can run it)."""
-    local_k = min(k, shard_vectors.shape[0])
-    sim = pairwise_similarity(shard_vectors)
-    return maximizer(sim, local_k)
-
-
 def greedi_select(
     vectors: np.ndarray,
     k: int,
     num_machines: int,
     rng: np.random.Generator | None = None,
     maximizer: Callable[[np.ndarray, int], np.ndarray] = lazy_greedy,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-round distributed facility-location selection.
 
@@ -58,13 +50,6 @@ def greedi_select(
     medoid cluster sizes computed over the *full* set (the final
     machine sees every point's assignment, as the paper's aggregation
     step does).
-
-    ``workers > 1`` fans the round-1 per-machine selections out over the
-    :class:`~repro.parallel.engine.SelectionExecutor` process pool —
-    each "machine" genuinely runs concurrently, with the proxy matrix
-    shared zero-copy.  Shard composition is fixed before the fan-out and
-    each shard's greedy is deterministic, so results match serial
-    execution exactly.
     """
     n = vectors.shape[0]
     if k < 1:
@@ -77,22 +62,16 @@ def greedi_select(
         return indices, medoid_weights(sim, indices)
     rng = rng or np.random.default_rng(0)
 
-    # Round 1: shard and select k per machine (fanned out when workers > 1).
+    # Round 1: shard and select k per machine.
     shards = [
         shard
         for shard in np.array_split(rng.permutation(n), min(num_machines, n))
         if len(shard)
     ]
-    if workers > 1:
-        from repro.parallel.engine import SelectionExecutor
-
-        with SelectionExecutor(workers) as executor:
-            picks = executor.map_chunks(
-                vectors, shards, _shard_select, fn_args=(k, maximizer)
-            )
-    else:
-        picks = [_shard_select(vectors[shard], k, maximizer) for shard in shards]
-    candidates = [shard[picked] for shard, picked in zip(shards, picks)]
+    candidates = [
+        shard[maximizer(pairwise_similarity(vectors[shard]), min(k, len(shard)))]
+        for shard in shards
+    ]
     pool = np.unique(np.concatenate(candidates))
 
     # Round 2: greedy over the union, scored against the FULL ground set

@@ -3,9 +3,8 @@
 ``_BaseTrainer.train`` holds :func:`repro.nn.blas.single_thread` for the
 whole run; these tests probe the count where the compute happens (the
 subset source, the overlap thread) and after the run ends or fails.  The
-degradation half checks that a missing BLAS thread control and a
-selection pool fallback each show on their span and counter, and that a
-healthy run creates neither.
+degradation half checks that a missing BLAS thread control shows on its
+span and counter, and that a healthy run records none.
 """
 
 import threading
@@ -19,7 +18,6 @@ from repro.core.trainer import NeSSATrainer, SubsetTrainer
 from repro.data.synthetic import SyntheticConfig, make_train_test
 from repro.nn import blas
 from repro.nn.resnet import resnet20
-from repro.parallel.store import shared_memory_available
 from repro.selection.craig import SelectionResult
 
 controlled = pytest.mark.skipif(
@@ -142,8 +140,8 @@ def _traced(run):
     return tracer.records, registry.snapshot()["counters"]
 
 
-def _nessa(workers=1):
-    config = NeSSAConfig(subset_fraction=0.3, seed=0, workers=workers)
+def _nessa():
+    config = NeSSAConfig(subset_fraction=0.3, seed=0)
     return NeSSATrainer(factory(), recipe(), config, factory)
 
 
@@ -152,10 +150,7 @@ class TestDegradations:
         records, counters = _traced(lambda: _nessa().train(*data))
         (setup,) = [r for r in records if r.name == "run_setup"]
         assert "blas_fallback" not in setup.attrs
-        rounds = [r for r in records if r.name == "selection_round"]
-        assert rounds and not any("executor_fallback" in r.attrs for r in rounds)
         assert "blas.fallbacks" not in counters
-        assert "parallel.executor_fallbacks" not in counters
 
     def test_missing_blas_control_is_recorded(self, data, monkeypatch):
         monkeypatch.setattr(blas, "_lookup", lambda: (None, None, "MKL"))
@@ -163,26 +158,3 @@ class TestDegradations:
         (setup,) = [r for r in records if r.name == "run_setup"]
         assert setup.attrs["blas_fallback"] == "MKL"
         assert counters["blas.fallbacks"] == 1
-
-    def test_pool_fallback_is_recorded_on_each_round(self, data, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.engine.shared_memory_available", lambda: False
-        )
-        records, counters = _traced(lambda: _nessa(workers=2).train(*data))
-        rounds = [r for r in records if r.name == "selection_round"]
-        assert len(rounds) == 2
-        for r in rounds:
-            assert "shared memory" in r.attrs["executor_fallback"]
-        assert counters["parallel.executor_fallbacks"] == 2
-
-
-@pytest.mark.skipif(not shared_memory_available(), reason="needs a live pool")
-def test_healthy_pool_records_no_fallback(data):
-    trainer = _nessa(workers=2)
-    try:
-        records, counters = _traced(lambda: trainer.train(*data))
-    finally:
-        trainer.selector.close()
-    rounds = [r for r in records if r.name == "selection_round"]
-    assert rounds and not any("executor_fallback" in r.attrs for r in rounds)
-    assert "parallel.executor_fallbacks" not in counters

@@ -11,7 +11,6 @@ from repro.core.selector import NeSSASelector
 from repro.core.trainer import NeSSATrainer
 from repro.nn.resnet import resnet20
 from repro.obs.report import render_report
-from repro.parallel.store import shared_memory_available
 from repro.pipeline.experiment import build_model, make_data
 from repro.pipeline.system import SystemModel
 from repro.selection.facility import facility_location_value, similarity_from_distances
@@ -182,8 +181,6 @@ class TestSelectionTelemetry:
         a, b = (train.ids[r.positions] for r in results)
         assert results[1].quality["overlap_prev"] == len(np.intersect1d(a, b)) / len(b)
 
-    @pytest.mark.skipif(not shared_memory_available(),
-                        reason="POSIX shared memory unavailable")
     def test_identical_across_worker_counts(self, train_test_split, tiny_model):
         train, _ = train_test_split
         serial = self._two_rounds(train, tiny_model, workers=1)

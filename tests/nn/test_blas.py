@@ -69,10 +69,6 @@ class TestSingleThread:
         assert seen == {"after_a": 1, "b_after_a": 1}
         assert blas.blas_threads() == prior_count
 
-    def test_pin_single_thread_is_permanent(self, prior_count):
-        blas.pin_single_thread()
-        assert blas.blas_threads() == 1
-
 
 class TestNoThreadControl:
     def test_lookup_without_symbols_gives_a_reason(self, monkeypatch):
@@ -89,6 +85,5 @@ class TestNoThreadControl:
         monkeypatch.setattr(blas, "_lookup", lambda: (None, None, "MKL"))
         assert blas.blas_threads() is None
         assert blas.blas_fallback() == "MKL"
-        blas.pin_single_thread()
         with blas.single_thread():
             assert blas.blas_threads() is None

@@ -63,11 +63,11 @@ class TestAlignment:
 
     def test_carved_span_is_excused_not_drift(self):
         a = _trace([_span("epoch#0")])
-        b = _trace([_span("epoch#0"), _span("epoch#0/shm_publish#0")])
+        b = _trace([_span("epoch#0"), _span("epoch#0/async_selection#0")])
         diff = diff_traces(a, b)
         assert diff.verdict == "ok"
         assert diff.added == []
-        assert [e["carveout"] for e in diff.excused] == ["shm_publish"]
+        assert [e["carveout"] for e in diff.excused] == ["async_selection"]
 
     def test_carveout_covers_whole_subtree_via_ancestor_frame(self):
         # A child of a carved frame is excused even though its own name
@@ -206,11 +206,11 @@ class TestCarveOutDeclarations:
             assert carve.scope in ("span", "metric", "attr")
             assert carve.reason
         names = {c.match for c in DEFAULT_CARVEOUTS if c.scope == "span"}
-        assert {"shm_publish", "async_selection", "selection_round"} <= names
+        assert {"async_selection", "selection_round"} <= names
 
     def test_custom_carveout_list_replaces_defaults(self):
         a = _trace([_span("epoch#0")])
-        b = _trace([_span("epoch#0"), _span("epoch#0/shm_publish#0")])
+        b = _trace([_span("epoch#0"), _span("epoch#0/async_selection#0")])
         diff = diff_traces(a, b, carveouts=())
         assert diff.verdict == "structural-drift"
 
@@ -285,12 +285,11 @@ class TestRealRunEquivalence:
         assert applied <= declared
         assert "selection_round" in applied
 
-    def test_worker_counts_diff_clean_modulo_shm_carveouts(self, runs):
+    def test_worker_counts_diff_clean(self, runs):
+        # ``workers`` is accepted but runs nothing differently: the traces
+        # must match with no carve-out applied at all.
         from repro.core.selector import NeSSASelector
-        from repro.parallel.store import shared_memory_available
 
-        if not shared_memory_available():
-            pytest.skip("POSIX shared memory unavailable")
         train, _ = make_train_test(
             SyntheticConfig(
                 num_classes=4, num_samples=320, image_shape=(3, 8, 8), seed=7
@@ -321,8 +320,7 @@ class TestRealRunEquivalence:
             diff = diff_traces(traces[1], traces[workers],
                                tolerance=math.inf)
             assert diff.verdict == "ok", diff.render()
-            applied = {e["carveout"] for e in diff.excused}
-            assert applied <= {"shm_publish", "shm.", "workers", "parallel"}
+            assert not (diff.excused or diff.attr_deltas or diff.metric_drift)
 
 
 class TestObsdiffCLI:

@@ -205,15 +205,12 @@ class TestRealRunReconciliation:
 
 
 class TestParallelTraceDeterminism:
-    """--workers 4 and --workers 1 must produce identical span identities."""
+    """workers=4 and workers=1 must produce identical span identities."""
 
     @pytest.fixture(scope="class")
     def traces(self, request):
         from repro.core.selector import NeSSASelector
-        from repro.parallel.store import shared_memory_available
 
-        if not shared_memory_available():
-            pytest.skip("POSIX shared memory unavailable")
         train, _ = make_train_test(
             SyntheticConfig(
                 num_classes=4, num_samples=320, image_shape=(3, 8, 8), seed=7
@@ -236,10 +233,8 @@ class TestParallelTraceDeterminism:
         return out
 
     def test_span_ids_identical_modulo_parallel_only_phases(self, traces):
-        ids = {
-            w: [r.id for r in t.records if r.name != "shm_publish"]
-            for w, (t, _) in traces.items()
-        }
+        # No phase is parallel-only any more: every id must match.
+        ids = {w: [r.id for r in t.records] for w, (t, _) in traces.items()}
         assert ids[1] == ids[4]
         assert any("unit@" in i for i in ids[1])
 
@@ -261,16 +256,6 @@ class TestParallelTraceDeterminism:
         s4 = structure(traces[4][0])
         assert s1 == s4
         assert len(s1) > 1
-
-    def test_worker_pids_recorded_but_not_in_ids(self, traces):
-        workers4 = {
-            r.worker for r in traces[4][0].records if r.name == "unit"
-        }
-        assert workers4 and None not in workers4
-        for tracer, _ in traces.values():
-            for r in tracer.records:
-                if r.worker is not None:
-                    assert str(r.worker) not in r.id
 
     def test_selected_positions_identical(self, traces):
         assert np.array_equal(

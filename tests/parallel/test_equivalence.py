@@ -1,8 +1,9 @@
-"""Parallel ≡ serial: the engine's determinism contract, asserted bitwise.
+"""The engine's determinism contract, asserted bitwise.
 
-These tests run real process pools (2 and 4 workers) even on single-core
-machines — determinism must hold regardless of how the OS schedules the
-workers, and fork-based pools are cheap enough to spin up per test.
+A unit's result depends only on its rows, take, seed key and spec, so
+running the units in any order gives the same selection, and the
+``workers`` config field (accepted, no effect on execution) changes
+nothing.
 """
 
 import numpy as np
@@ -12,13 +13,7 @@ from repro.core.config import NeSSAConfig
 from repro.core.selector import NeSSASelector
 from repro.parallel.engine import SelectionExecutor, SelectionSpec, execute_unit
 from repro.parallel.scheduler import plan_selection_round
-from repro.parallel.store import shared_memory_available
-from repro.selection.distributed import greedi_select
 from repro.selection.gradients import REFRESH_PERIOD
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="POSIX shared memory unavailable"
-)
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -30,49 +25,39 @@ def _serial_outcomes(vectors, units, spec):
 class TestEngineEquivalence:
     @pytest.mark.parametrize("method", ["lazy", "stochastic"])
     @pytest.mark.parametrize("seed", [0, 7, 21])
-    def test_run_units_bit_identical_across_worker_counts(self, method, seed):
+    def test_run_units_bit_identical_in_any_order(self, method, seed):
         gen = np.random.default_rng(seed)
         vectors = gen.normal(size=(160, 6))
         labels = gen.integers(0, 4, size=160)
         units = plan_selection_round(labels, 48, seed=seed, round_index=0,
                                      chunk_select=8)
         spec = SelectionSpec(method=method, epsilon=0.2)
-        reference = _serial_outcomes(vectors, units, spec)
-        for workers in WORKER_COUNTS:
-            with SelectionExecutor(workers) as executor:
-                got = executor.run_units(vectors, units, spec, labels=labels)
-            assert len(got) == len(reference)
-            for (sel_a, w_a, b_a, s_a), (sel_b, w_b, b_b, s_b) in zip(got, reference):
-                assert np.array_equal(sel_a, sel_b)
-                assert np.array_equal(w_a, w_b)  # bitwise, not approx
-                assert b_a == b_b
-                assert s_a["fl_value"] == s_b["fl_value"]
+        got = SelectionExecutor().run_units(vectors, units, spec)
+        # the same units run backwards, each still on its own keyed stream
+        reference = _serial_outcomes(vectors, units[::-1], spec)[::-1]
+        assert len(got) == len(reference)
+        for (sel_a, w_a, b_a, s_a), (sel_b, w_b, b_b, s_b) in zip(got, reference):
+            assert np.array_equal(sel_a, sel_b)
+            assert np.array_equal(w_a, w_b)  # bitwise, not approx
+            assert b_a == b_b
+            assert s_a["fl_value"] == s_b["fl_value"]
 
     def test_executor_reuse_across_rounds(self):
-        # The pool persists between rounds; later rounds must not see
-        # stale shared-memory mappings from earlier ones.
+        # One executor serves every round; no state carries over.
         gen = np.random.default_rng(3)
         spec = SelectionSpec()
-        with SelectionExecutor(2) as executor:
-            for round_index in range(3):
-                vectors = gen.normal(size=(120, 5))
-                labels = gen.integers(0, 3, size=120)
-                units = plan_selection_round(labels, 30, seed=1,
-                                             round_index=round_index,
-                                             chunk_select=8)
-                got = executor.run_units(vectors, units, spec, labels=labels)
-                ref = _serial_outcomes(vectors, units, spec)
-                for (sel_a, w_a, _, _), (sel_b, w_b, _, _) in zip(got, ref):
-                    assert np.array_equal(sel_a, sel_b)
-                    assert np.array_equal(w_a, w_b)
-
-    def test_serial_fallback_reports_reason(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.engine.shared_memory_available", lambda: False
-        )
-        executor = SelectionExecutor(4)
-        assert not executor.is_parallel
-        assert "shared memory" in executor.fallback_reason
+        executor = SelectionExecutor()
+        for round_index in range(3):
+            vectors = gen.normal(size=(120, 5))
+            labels = gen.integers(0, 3, size=120)
+            units = plan_selection_round(labels, 30, seed=1,
+                                         round_index=round_index,
+                                         chunk_select=8)
+            got = executor.run_units(vectors, units, spec, labels=labels)
+            ref = _serial_outcomes(vectors, units, spec)
+            for (sel_a, w_a, _, _), (sel_b, w_b, _, _) in zip(got, ref):
+                assert np.array_equal(sel_a, sel_b)
+                assert np.array_equal(w_a, w_b)
 
 
 class TestSelectorEquivalence:
@@ -129,21 +114,8 @@ class TestSelectorEquivalence:
         assert not np.array_equal(a.positions, b.positions)
 
 
-class TestGreediEquivalence:
-    def test_greedi_workers_match_serial(self):
-        vectors = np.random.default_rng(9).normal(size=(90, 5))
-        serial_idx, serial_w = greedi_select(
-            vectors, 12, num_machines=3, rng=np.random.default_rng(0)
-        )
-        par_idx, par_w = greedi_select(
-            vectors, 12, num_machines=3, rng=np.random.default_rng(0), workers=2
-        )
-        assert np.array_equal(serial_idx, par_idx)
-        assert np.array_equal(serial_w, par_w)
-
-
 class TestCacheMetricsSurfacing:
-    """Embedding-table hits/misses surface identically for serial and parallel."""
+    """Embedding-table hits/misses surface identically for any ``workers``."""
 
     def _run_rounds(self, train, model, workers):
         from repro import obs
@@ -183,18 +155,9 @@ class TestCacheMetricsSurfacing:
             w: self._run_rounds(train, tiny_model, w) for w in WORKER_COUNTS
         }
 
-        def cache_view(counters):
-            # shm.* counters are parallel-only by design; the cache and
-            # selection ledgers must not depend on the worker count.
-            return {
-                k: v
-                for k, v in counters.items()
-                if k.startswith(("proxy_cache.", "selection."))
-            }
-
         reference_counters, reference_stats = outcomes[WORKER_COUNTS[0]]
         for counters, stats in outcomes.values():
-            assert cache_view(counters) == cache_view(reference_counters)
+            assert counters == reference_counters
             assert stats == reference_stats
 
     def test_disabled_cache_reports_zero_stats(self, train_test_split, tiny_model):

@@ -8,8 +8,7 @@ Two layers of coverage:
   ``stale_feedback="off"`` never launches a round, so it must reproduce
   the serial trainer's ``TrainingHistory`` and trace exactly, for any
   prefetch depth; the stale trace must diff clean against serial modulo
-  the overlap-only span names (the same carve-out convention the
-  parallel engine established for ``shm_publish``).
+  the overlap-only span names (declared obsdiff carve-outs).
 """
 
 import time

@@ -20,7 +20,6 @@ import pytest
 
 from repro.core.config import NeSSAConfig
 from repro.core.selector import NeSSASelector
-from repro.parallel.store import shared_memory_available
 from repro.selection.facility import (
     lazy_greedy,
     medoid_weights,
@@ -337,9 +336,6 @@ def _int8_config(**overrides):
 
 
 class TestSelectorIntegration:
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="POSIX shared memory unavailable"
-    )
     @pytest.mark.parametrize("workers", [2, 4])
     def test_bit_identical_across_worker_counts(
         self, train_test_split, tiny_model, workers
